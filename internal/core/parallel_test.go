@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mathx"
@@ -22,12 +23,17 @@ type runTrace struct {
 	msgs     int64
 	bytes    int64
 	poolUsed bool
+
+	evictions, readmissions int
+	quarantined             []wsn.NodeID
 }
 
 // traceRun drives one tracker over a deterministic moving-target scenario and
 // captures everything the algorithm computes. Every call with the same
-// (netSeed, cfg-up-to-Parallelism, loss setup) must produce identical traces.
-func traceRun(t *testing.T, cfg Config, parallelism int, loss func(*wsn.Network)) runTrace {
+// (netSeed, cfg-up-to-Parallelism, loss setup, liars) must produce identical
+// traces. With liars set, every fifth node reports a bearing a quarter turn
+// off the truth, so the quarantine defense evicts sharers mid-run.
+func traceRun(t *testing.T, cfg Config, parallelism int, loss func(*wsn.Network), liars bool) runTrace {
 	t.Helper()
 	nw, err := wsn.NewNetwork(wsn.DefaultConfig(20), mathx.NewRNG(97))
 	if err != nil {
@@ -45,7 +51,16 @@ func traceRun(t *testing.T, cfg Config, parallelism int, loss func(*wsn.Network)
 	target := mathx.V2(30, 60)
 	var trace runTrace
 	for k := 0; k < 12; k++ {
-		res := stepWithTarget(t, tr, nw, target, rng)
+		det := nw.ActiveNodesWithin(target, nw.Cfg.SensingRadius)
+		obs := make([]Observation, len(det))
+		for i, id := range det {
+			z := cfg.Sensor.Measure(nw.Node(id).Pos, target, rng)
+			if liars && id%5 == 0 {
+				z = mathx.WrapAngle(z + math.Pi/2)
+			}
+			obs[i] = Observation{Node: id, Bearing: z}
+		}
+		res := tr.Step(obs, rng)
 		if res.EstimateValid {
 			trace.estBits = append(trace.estBits,
 				math.Float64bits(res.Estimate.X), math.Float64bits(res.Estimate.Y))
@@ -63,12 +78,16 @@ func traceRun(t *testing.T, cfg Config, parallelism int, loss func(*wsn.Network)
 	trace.msgs = nw.Stats.TotalMsgs()
 	trace.bytes = nw.Stats.TotalBytes()
 	trace.poolUsed = tr.pool != nil
+	q := tr.Quarantine()
+	trace.evictions, trace.readmissions, trace.quarantined = q.Evictions, q.Readmissions, q.Quarantined
 	return trace
 }
 
 func sameTrace(a, b runTrace) bool {
 	if len(a.estBits) != len(b.estBits) || len(a.weights) != len(b.weights) ||
-		a.gated != b.gated || a.msgs != b.msgs || a.bytes != b.bytes {
+		a.gated != b.gated || a.msgs != b.msgs || a.bytes != b.bytes ||
+		a.evictions != b.evictions || a.readmissions != b.readmissions ||
+		!slices.Equal(a.quarantined, b.quarantined) {
 		return false
 	}
 	for i := range a.estBits {
@@ -95,15 +114,17 @@ func sameTrace(a, b runTrace) bool {
 // TestParallelStepByteIdentity is the determinism contract of the intra-step
 // parallel path (DESIGN.md §16): for every configuration — loss-free
 // Gaussian, iid loss with rebroadcast and compensation, Student-t with
-// quantization and gating, and CDPF-NE — worker counts 2, 4, and 8 must
-// reproduce the single-worker run bit for bit: identical estimate bits,
-// weight bits, population dynamics, resilience counters, gate counts, and
-// radio traffic.
+// quantization and gating, CDPF-NE, and quarantine against lying sensors
+// alone and with the full hardened configuration under loss — worker counts
+// 2, 4, and 8 must reproduce the single-worker run bit for bit: identical
+// estimate bits, weight bits, population dynamics, resilience counters, gate
+// counts, quarantine state, and radio traffic.
 func TestParallelStepByteIdentity(t *testing.T) {
 	type variant struct {
-		name string
-		cfg  func() Config
-		loss func(*wsn.Network)
+		name  string
+		cfg   func() Config
+		loss  func(*wsn.Network)
+		liars bool
 	}
 	variants := []variant{
 		{name: "gaussian-lossfree", cfg: func() Config { return DefaultConfig(false) }},
@@ -129,16 +150,34 @@ func TestParallelStepByteIdentity(t *testing.T) {
 			},
 		},
 		{name: "ne", cfg: func() Config { return DefaultConfig(true) }},
+		{
+			name: "quarantine",
+			cfg: func() Config {
+				c := DefaultConfig(false)
+				c.Quarantine = true
+				return c
+			},
+			liars: true,
+		},
+		{
+			name:  "hostile",
+			cfg:   func() Config { return HardenedSensingConfig(false) },
+			loss:  func(nw *wsn.Network) { nw.SetLossRate(0.2, 9) },
+			liars: true,
+		},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			serial := traceRun(t, v.cfg(), 1, v.loss)
+			serial := traceRun(t, v.cfg(), 1, v.loss, v.liars)
 			if serial.poolUsed {
 				t.Fatal("single-worker run started the pool")
 			}
+			if v.liars && serial.evictions == 0 {
+				t.Fatal("no sharer was quarantined: the usable-sharer filter never ran")
+			}
 			engaged := false
 			for _, workers := range []int{2, 4, 8} {
-				got := traceRun(t, v.cfg(), workers, v.loss)
+				got := traceRun(t, v.cfg(), workers, v.loss, v.liars)
 				if !sameTrace(serial, got) {
 					t.Fatalf("workers=%d: trace differs from serial run", workers)
 				}
@@ -158,8 +197,8 @@ func TestParallelStepByteIdentity(t *testing.T) {
 func TestParallelBurstLossStaysSerial(t *testing.T) {
 	burst := func(nw *wsn.Network) { nw.SetBurstLoss(0.2, 3, 11) }
 	cfg := DefaultConfig(false)
-	serial := traceRun(t, cfg, 1, burst)
-	got := traceRun(t, cfg, 8, burst)
+	serial := traceRun(t, cfg, 1, burst, false)
+	got := traceRun(t, cfg, 8, burst, false)
 	if got.poolUsed {
 		t.Fatal("parallel path engaged under bursty loss")
 	}

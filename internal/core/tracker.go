@@ -735,6 +735,10 @@ func (t *Tracker) assignLikelihood(obs []Observation, res *StepResult) {
 			// iteration rather than trusting known-bad measurements.
 			return
 		}
+		// The parallel likelihood phase reads the sharer list from scratch:
+		// publish the usable list, or its workers would index the sharer
+		// columns with the unfiltered length.
+		t.scr.sharers = sharers
 	}
 	t.gatherSharerColumns(sharers)
 	holders := t.snapshotHolders()

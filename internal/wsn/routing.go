@@ -1,5 +1,7 @@
 package wsn
 
+import "math"
+
 // Routing support for the centralized baseline: CPF needs the hop count from
 // every detecting node to the sink (H_i in Table I). Hop counts are computed
 // by breadth-first search over the connectivity graph induced by the
@@ -14,23 +16,77 @@ type HopTable struct {
 	Hops []int
 }
 
-// BuildHopTable runs a BFS from root over the connectivity graph.
+// BuildHopTable runs a BFS from root over the connectivity graph: an edge
+// joins two nodes whose squared distance is at most CommRadius².
+//
+// The search indexes the nodes in a private grid of cells a third of the
+// communication radius wide, each holding a list of its still-unvisited
+// nodes. Expanding a node tests only the unvisited nodes of the cells its
+// radio disc can reach, and swap-removes each one as it receives its hop
+// count, so every node is discovered once and the work per expansion
+// shrinks as the frontier sweeps the field. The edge predicate is the same
+// as a full neighborhood scan's, and BFS distances do not depend on the
+// order neighbors are discovered in, so the table is exactly the one a
+// plain BFS over Within queries produces (DESIGN.md §10).
 func (nw *Network) BuildHopTable(root NodeID) *HopTable {
-	hops := make([]int, len(nw.Nodes))
+	n := len(nw.Nodes)
+	hops := make([]int, n)
 	for i := range hops {
 		hops[i] = -1
 	}
+	r := nw.Cfg.CommRadius
+	r2 := r * r
+	w, h := nw.Cfg.Width, nw.Cfg.Height
+	// Cells of r/3 fit the disc more tightly than r-wide cells (a 7×7
+	// window instead of 3×3 cells of three times the area); the cell is
+	// widened only when the field/radius ratio would make the grid far
+	// larger than the node count.
+	cell := r / 3
+	for (w/cell+2)*(h/cell+2) > float64(4*n+1024) {
+		cell *= 2
+	}
+	// A private grid whose buckets serve as the unvisited lists: the search
+	// consumes them, so the network's shared grid is never touched.
+	g := NewGrid(w, h, cell, nw.positions)
+	unvisited := g.buckets
+	rb := unvisited[g.idx[root]]
+	for k, id := range rb {
+		if id == root {
+			rb[k] = rb[len(rb)-1]
+			unvisited[g.idx[root]] = rb[:len(rb)-1]
+			break
+		}
+	}
 	hops[root] = 0
-	queue := []NodeID{root}
-	var buf []NodeID
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		buf = nw.grid.Within(nw.Nodes[cur].Pos, nw.Cfg.CommRadius, buf[:0])
-		for _, nb := range buf {
-			if hops[nb] == -1 {
-				hops[nb] = hops[cur] + 1
-				queue = append(queue, nb)
+
+	// The window is padded by a hair over r so that rounding in the window
+	// arithmetic can never exclude a node the exact predicate admits.
+	reach := r * (1 + 1e-9)
+	queue := make([]NodeID, 1, n)
+	queue[0] = root
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		p := nw.positions[cur]
+		next := hops[cur] + 1
+		cx0 := clampInt(int(math.Floor((p.X-reach)/cell)), 0, g.cols-1)
+		cx1 := clampInt(int(math.Floor((p.X+reach)/cell)), 0, g.cols-1)
+		cy0 := clampInt(int(math.Floor((p.Y-reach)/cell)), 0, g.rows-1)
+		cy1 := clampInt(int(math.Floor((p.Y+reach)/cell)), 0, g.rows-1)
+		for cy := cy0; cy <= cy1; cy++ {
+			for c := cy*g.cols + cx0; c <= cy*g.cols+cx1; c++ {
+				list := unvisited[c]
+				for k := 0; k < len(list); {
+					id := list[k]
+					if nw.positions[id].Dist2(p) > r2 {
+						k++
+						continue
+					}
+					hops[id] = next
+					queue = append(queue, id)
+					list[k] = list[len(list)-1]
+					list = list[:len(list)-1]
+				}
+				unvisited[c] = list
 			}
 		}
 	}

@@ -1,11 +1,121 @@
 package wsn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/mathx"
 )
+
+// referenceHops is the plain BFS BuildHopTable must reproduce: a FIFO queue
+// expanding every dequeued node over a full Within query of the network's
+// shared grid.
+func referenceHops(nw *Network, root NodeID) []int {
+	hops := make([]int, len(nw.Nodes))
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[root] = 0
+	queue := []NodeID{root}
+	var buf []NodeID
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		buf = nw.grid.Within(nw.Nodes[cur].Pos, nw.Cfg.CommRadius, buf[:0])
+		for _, nb := range buf {
+			if hops[nb] == -1 {
+				hops[nb] = hops[cur] + 1
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return hops
+}
+
+// TestHopTableMatchesReferenceBFS pins the unvisited-list BFS to the plain
+// BFS entry for entry: sparse deployments with disconnected (-1) nodes up to
+// the paper's densest field, three roots each, a drifted network, and a
+// network with failed and asleep nodes (the table ignores node state).
+func TestHopTableMatchesReferenceBFS(t *testing.T) {
+	check := func(t *testing.T, nw *Network, root NodeID) {
+		t.Helper()
+		got := nw.BuildHopTable(root)
+		if got.Root != root {
+			t.Fatalf("root %d: table root = %d", root, got.Root)
+		}
+		want := referenceHops(nw, root)
+		for i := range want {
+			if got.Hops[i] != want[i] {
+				t.Fatalf("root %d: node %d hops = %d, reference BFS = %d", root, i, got.Hops[i], want[i])
+			}
+		}
+	}
+	roots := func(nw *Network) []NodeID {
+		return []NodeID{nw.NearestNode(nw.Center()), 0, NodeID(nw.Len() - 1)}
+	}
+	disconnected := false
+	for _, density := range []float64{0.1, 0.5, 1, 2, 5, 10, 20, 40} {
+		seeds := []uint64{1, 2, 3}
+		if density >= 20 {
+			seeds = seeds[:2]
+		}
+		for _, seed := range seeds {
+			nw := testNetwork(t, density, seed)
+			for _, root := range roots(nw) {
+				check(t, nw, root)
+			}
+			disconnected = disconnected || nw.BuildHopTable(0).Reachable() < nw.Len()
+		}
+	}
+	if !disconnected {
+		t.Fatal("no case produced a disconnected node")
+	}
+
+	t.Run("drift", func(t *testing.T) {
+		nw := testNetwork(t, 5, 11)
+		rng := mathx.NewRNG(12)
+		for i := 0; i < 3; i++ {
+			nw.ApplyDrift(4, rng)
+			for _, root := range roots(nw) {
+				check(t, nw, root)
+			}
+		}
+	})
+	t.Run("node-states", func(t *testing.T) {
+		nw := testNetwork(t, 10, 13)
+		for i, nd := range nw.Nodes {
+			switch i % 3 {
+			case 1:
+				nd.State = Failed
+			case 2:
+				nd.State = Asleep
+			}
+		}
+		for _, root := range roots(nw) {
+			check(t, nw, root)
+		}
+	})
+}
+
+// BenchmarkBuildHopTable times one hop table from the central sink, the
+// per-cell setup cost of CPF, DPF and the EKF reference.
+func BenchmarkBuildHopTable(b *testing.B) {
+	for _, density := range []float64{20, 40} {
+		b.Run(fmt.Sprintf("density=%g", density), func(b *testing.B) {
+			nw, err := NewNetwork(DefaultConfig(density), mathx.NewRNG(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink := nw.NearestNode(nw.Center())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nw.BuildHopTable(sink)
+			}
+		})
+	}
+}
 
 func TestHopTableBasics(t *testing.T) {
 	nw := testNetwork(t, 10, 40)
