@@ -29,6 +29,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/trace"
 	"repro/internal/wsn"
 )
@@ -304,7 +305,13 @@ func BenchmarkTrackerStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := core.NewTracker(sc.Net, core.DefaultConfig(false))
+	benchWarmedSteps(b, sc, core.DefaultConfig(false))
+}
+
+// benchWarmedSteps times b.N tracker steps over the scenario's observations,
+// cycling through them, after one untimed warm-up pass.
+func benchWarmedSteps(b *testing.B, sc *scenario.Scenario, cfg core.Config) {
+	tr, err := core.NewTracker(sc.Net, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -320,6 +327,31 @@ func BenchmarkTrackerStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Step(obs[i%len(obs)], rng)
+	}
+}
+
+// BenchmarkTrackerStepDense prices one warmed CDPF or CDPF-NE iteration on
+// the benchmark's cdpf-track cells at density 40 (dt 1 s, 60 steps),
+// loss-free and under 30% loss, built through spec.Axes exactly as RunCell
+// builds them (the lossy cells run the hardened config: rebroadcasts and
+// loss compensation).
+func BenchmarkTrackerStepDense(b *testing.B) {
+	for _, algo := range []string{"cdpf", "cdpf-ne"} {
+		for _, loss := range []float64{0, 0.3} {
+			b.Run(fmt.Sprintf("%s/loss=%g", algo, loss), func(b *testing.B) {
+				b.ReportAllocs()
+				ax := spec.Axes{Algo: algo, Density: 40, Dt: 1, Steps: 60, Loss: loss, Seed: benchSeed}
+				sc, _, err := ax.Build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg, err := ax.TrackerConfig()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchWarmedSteps(b, sc, cfg)
+			})
+		}
 	}
 }
 

@@ -77,22 +77,31 @@ func (a PredictedArea) AppendDivisionRatios(dst []float64, positions []mathx.Vec
 		return dst
 	}
 	start := len(dst)
-	total := 0.0
 	for _, p := range positions {
-		r := a.Probability(p)
-		dst = append(dst, r)
+		dst = append(dst, a.Probability(p))
+	}
+	NormalizeRatios(dst[start:])
+	return dst
+}
+
+// NormalizeRatios turns linear-model probabilities into division ratios in
+// place: each is divided by their sum, accumulated in slice order, or all
+// become uniform when the sum is not positive. A caller that already holds
+// the recorders' probabilities gets the exact bits AppendDivisionRatios
+// would compute from their positions.
+func NormalizeRatios(ratios []float64) {
+	total := 0.0
+	for _, r := range ratios {
 		total += r
 	}
-	ratios := dst[start:]
 	if total <= 0 {
 		u := 1.0 / float64(len(ratios))
 		for i := range ratios {
 			ratios[i] = u
 		}
-		return dst
+		return
 	}
 	for i := range ratios {
 		ratios[i] /= total
 	}
-	return dst
 }

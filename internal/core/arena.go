@@ -123,8 +123,8 @@ type scratch struct {
 	// holders snapshots the sorted holder list across phases that mutate the
 	// particle store while iterating.
 	holders []wsn.NodeID
-	// cand buffers spatial-grid queries (selectRecorders); recorder lists
-	// filtered from it alias the same backing array.
+	// cand buffers per-broadcast spatial-grid queries (selectRecordersInto);
+	// recorder lists filtered from it alias the same backing array.
 	cand []wsn.NodeID
 	// positions/ratios buffer one broadcast's recorder geometry.
 	positions []mathx.Vec2
@@ -180,9 +180,8 @@ type scratch struct {
 	otVal   []float64
 	otComp  []bool
 
-	// maxRecordDist parks the propagation phase's recording distance where
-	// parallel workers can read it (set before dispatch, constant during).
-	maxRecordDist float64
+	// sw holds the shared-area sweep's tables (sweepShared).
+	sw sweep
 	// pw is the per-worker scratch set, created with the step pool.
 	pw []workerScratch
 
@@ -192,6 +191,21 @@ type scratch struct {
 
 	// byWeight buffers the MaxHolders cap sort.
 	byWeight []holderWeight
+}
+
+// sweep is sweepShared's output for one propagation phase. The candidates
+// are the awake nodes within the recording distance of the shared center, in
+// query order: id, position, linear-model probability, and overheard total
+// (loss-compensated when comp) with the heard and in-range broadcast counts
+// behind it. Broadcast b's attempt-0 recorders are the candidate indices
+// rec[off[b]:off[b+1]], in candidate order.
+type sweep struct {
+	id             []wsn.NodeID
+	pos            []mathx.Vec2
+	prob, tot      []float64
+	heard, inRange []int32
+	comp           []bool
+	rec, off       []int32
 }
 
 func newScratch(n int) scratch {

@@ -91,12 +91,11 @@ type Config struct {
 	// (e.g. after the target leaves the field). 0 defaults to 256.
 	MaxHolders int
 
-	// Parallelism sets the worker count for the intra-step parallel phases
-	// (the per-holder likelihood loop and the per-broadcast recorder
-	// resolution; DESIGN.md §16). Work is split into static contiguous
-	// chunks and merged in item order, so results are bit-identical for
-	// every worker count — 1 runs the serial path, which is itself
-	// bit-identical to the pre-kernel implementation. 0 (the default)
+	// Parallelism sets the worker count for the intra-step parallel phase
+	// (the per-holder likelihood loop; DESIGN.md §16). Work is split into
+	// static contiguous chunks and merged in item order, so results are
+	// bit-identical for every worker count — 1 runs the serial path, which
+	// is itself bit-identical to the pre-kernel implementation. 0 (the default)
 	// resolves to GOMAXPROCS capped at 8; negative is invalid. Workers are
 	// started lazily on the first step with enough independent items, so
 	// small trackers (e.g. per-session trackers in internal/serve) never

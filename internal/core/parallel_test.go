@@ -114,17 +114,20 @@ func sameTrace(a, b runTrace) bool {
 // TestParallelStepByteIdentity is the determinism contract of the intra-step
 // parallel path (DESIGN.md §16): for every configuration — loss-free
 // Gaussian, iid loss with rebroadcast and compensation, Student-t with
-// quantization and gating, CDPF-NE, and quarantine against lying sensors
-// alone and with the full hardened configuration under loss — worker counts
-// 2, 4, and 8 must reproduce the single-worker run bit for bit: identical
-// estimate bits, weight bits, population dynamics, resilience counters, gate
-// counts, quarantine state, and radio traffic.
+// quantization and gating, CDPF-NE, per-particle predicted areas, and
+// quarantine against lying sensors alone and with the full hardened
+// configuration under loss — worker counts 2, 4, and 8 must reproduce the
+// single-worker run bit for bit: identical estimate bits, weight bits,
+// population dynamics, resilience counters, gate counts, quarantine state,
+// and radio traffic. CDPF-NE has no likelihood phase, the only parallel one,
+// so its runs must never start the pool.
 func TestParallelStepByteIdentity(t *testing.T) {
 	type variant struct {
-		name  string
-		cfg   func() Config
-		loss  func(*wsn.Network)
-		liars bool
+		name   string
+		cfg    func() Config
+		loss   func(*wsn.Network)
+		liars  bool
+		serial bool // no parallel phase applies: the pool must stay unstarted
 	}
 	variants := []variant{
 		{name: "gaussian-lossfree", cfg: func() Config { return DefaultConfig(false) }},
@@ -149,7 +152,15 @@ func TestParallelStepByteIdentity(t *testing.T) {
 				return c
 			},
 		},
-		{name: "ne", cfg: func() Config { return DefaultConfig(true) }},
+		{name: "ne", cfg: func() Config { return DefaultConfig(true) }, serial: true},
+		{
+			name: "per-particle-areas",
+			cfg: func() Config {
+				c := DefaultConfig(false)
+				c.PerParticleAreas = true
+				return c
+			},
+		},
 		{
 			name: "quarantine",
 			cfg: func() Config {
@@ -181,9 +192,12 @@ func TestParallelStepByteIdentity(t *testing.T) {
 				if !sameTrace(serial, got) {
 					t.Fatalf("workers=%d: trace differs from serial run", workers)
 				}
+				if v.serial && got.poolUsed {
+					t.Fatalf("workers=%d: pool started with no parallel phase to run", workers)
+				}
 				engaged = engaged || got.poolUsed
 			}
-			if !engaged {
+			if !v.serial && !engaged {
 				t.Fatal("parallel path never engaged: scenario too small to exercise the pool")
 			}
 		})

@@ -1,53 +1,40 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"sync"
-
-	"repro/internal/mathx"
-	"repro/internal/wsn"
 )
 
-// Intra-step parallelism (DESIGN.md §16). Two phases of a CDPF iteration are
-// embarrassingly parallel over independent items: the per-holder likelihood
-// update (each holder reads the shared sharer columns and writes only its own
-// logls/heard slot) and the per-broadcast recorder resolution in propagation
-// (each broadcast's recorder set, division ratios, and weight shares depend
-// only on that broadcast plus read-only network state). Both are partitioned
-// into static contiguous chunks — worker w owns [w·chunk, (w+1)·chunk) — and
-// every result that feeds a floating-point accumulation or a stats counter is
-// buffered per item and merged serially in item order. The merge performs
-// exactly the additions the serial loop performs, in exactly the same order,
-// so results are bit-identical for every worker count; that invariant is
-// enforced by TestParallelStepByteIdentity and, transitively, by every golden
-// and offline-twin byte-diff test.
+// Intra-step parallelism (DESIGN.md §16). The per-holder likelihood update of
+// a CDPF iteration is embarrassingly parallel: each holder reads the shared
+// sharer columns and writes only its own logls/heard slot. Holders are
+// partitioned into static contiguous chunks — worker w owns [w·chunk,
+// (w+1)·chunk) — and the per-worker gate counts are merged serially in
+// worker order, so results are bit-identical for every worker count; that
+// invariant is enforced by TestParallelStepByteIdentity and, transitively,
+// by every golden and offline-twin byte-diff test. Propagation runs serially;
+// in the shared-area geometry it is one pass over the broadcast×candidate
+// pairs (sweepShared).
 //
 // The pool's goroutines are started lazily on the first step with enough
 // items and live until the tracker is garbage collected (a finalizer closes
 // the job channel; workers hold no reference to the tracker, so the tracker
 // stays collectable). Dispatch is allocation-free: jobs are plain structs on
-// a buffered channel and the two phase bodies are fixed methods, keeping the
+// a buffered channel and the phase body is a fixed method, keeping the
 // warmed Step inside its <1 alloc budget with parallelism enabled.
 
-// minParallelItems gates the parallel phases: below this many independent
-// items the dispatch latency outweighs the span win and the serial loop runs.
+// minParallelItems gates the parallel phase: below this many holders the
+// dispatch latency outweighs the span win and the serial loop runs.
 const minParallelItems = 32
 
-const (
-	phaseLik uint8 = iota
-	phaseRec
-)
-
-// poolJob is one contiguous chunk of a parallel phase.
+// poolJob is one contiguous chunk of the likelihood phase.
 type poolJob struct {
 	t      *Tracker
-	phase  uint8
 	worker int
 	lo, hi int
 }
 
-// stepPool is a fixed set of reusable workers shared by both phases.
+// stepPool is a fixed set of reusable workers.
 type stepPool struct {
 	workers int
 	jobs    chan poolJob
@@ -59,12 +46,7 @@ func newStepPool(workers int) *stepPool {
 	for i := 0; i < workers; i++ {
 		go func() {
 			for j := range p.jobs {
-				switch j.phase {
-				case phaseLik:
-					j.t.likChunk(j.worker, j.lo, j.hi)
-				case phaseRec:
-					j.t.recChunk(j.worker, j.lo, j.hi)
-				}
+				j.t.likChunk(j.worker, j.lo, j.hi)
 				p.wg.Done()
 			}
 		}()
@@ -72,9 +54,9 @@ func newStepPool(workers int) *stepPool {
 	return p
 }
 
-// run dispatches phase over [0, n) in static contiguous chunks and blocks
-// until every chunk completes.
-func (p *stepPool) run(t *Tracker, phase uint8, n int) {
+// run dispatches the likelihood phase over holders [0, n) in static
+// contiguous chunks and blocks until every chunk completes.
+func (p *stepPool) run(t *Tracker, n int) {
 	chunk := (n + p.workers - 1) / p.workers
 	for w := 0; w*chunk < n; w++ {
 		lo, hi := w*chunk, (w+1)*chunk
@@ -82,7 +64,7 @@ func (p *stepPool) run(t *Tracker, phase uint8, n int) {
 			hi = n
 		}
 		p.wg.Add(1)
-		p.jobs <- poolJob{t: t, phase: phase, worker: w, lo: lo, hi: hi}
+		p.jobs <- poolJob{t: t, worker: w, lo: lo, hi: hi}
 	}
 	p.wg.Wait()
 }
@@ -93,17 +75,13 @@ func (p *stepPool) run(t *Tracker, phase uint8, n int) {
 func (t *Tracker) ensurePool() *stepPool {
 	if t.pool == nil {
 		t.pool = newStepPool(t.cfg.Parallelism)
-		n := t.nw.Len()
 		t.scr.pw = make([]workerScratch, t.cfg.Parallelism)
-		for i := range t.scr.pw {
-			t.scr.pw[i].init(n)
-		}
 		runtime.SetFinalizer(t, func(tt *Tracker) { close(tt.pool.jobs) })
 	}
 	return t.pool
 }
 
-// parallelOK reports whether a phase with n independent items should run on
+// parallelOK reports whether the likelihood phase over n holders should run on
 // the pool: enough items, more than one configured worker, and stateless
 // loss draws (the bursty chain memoizes per-link state on query, which
 // concurrent workers must not touch).
@@ -111,52 +89,11 @@ func (t *Tracker) parallelOK(n int) bool {
 	return t.cfg.Parallelism > 1 && n >= minParallelItems && t.nw.LossStateless()
 }
 
-// workerScratch is one worker's private working memory: its own spatial-query
-// and geometry buffers, its own overheard-total memo, and the ordered
-// per-chunk output log the merge replays.
+// workerScratch is one worker's private likelihood-phase working memory.
 type workerScratch struct {
-	cand      []wsn.NodeID
-	positions []mathx.Vec2
-	ratios    []float64
-
-	otStamp []uint32
-	otEpoch uint32
-	otVal   []float64
-	otComp  []bool
-
 	dist  []float64
 	mask  []bool
 	gated int
-
-	recs []recEntry
-	hdrs []recHeader
-}
-
-func (ws *workerScratch) init(n int) {
-	ws.otStamp = make([]uint32, n)
-	ws.otVal = make([]float64, n)
-	ws.otComp = make([]bool, n)
-}
-
-// recEntry is one (broadcast, recorder) contribution: the weight share and
-// the pre-scaled velocity addend, exactly the two values the serial loop
-// accumulates.
-type recEntry struct {
-	id    wsn.NodeID
-	share float64
-	vel   mathx.Vec2
-}
-
-// recHeader is one broadcast's non-accumulator outcomes, replayed by the
-// merge in broadcast order: retry transmissions to charge, resilience
-// counter increments, and the drop decision.
-type recHeader struct {
-	bid     wsn.NodeID
-	nrec    int32
-	comp    int32
-	retries int16
-	saved   bool
-	dropped bool
 }
 
 // likChunk computes holders [lo, hi) of the likelihood phase: disjoint
@@ -174,100 +111,4 @@ func (t *Tracker) likChunk(w, lo, hi int) {
 		gated += g
 	}
 	ws.gated = gated
-}
-
-// recChunk resolves broadcasts [lo, hi) of the propagation phase into the
-// worker's ordered output log. It performs no accumulation, no stats or
-// energy charging, and no resilience counting — those happen in the serial
-// merge, in broadcast order, so floating-point sums group exactly as the
-// serial loop groups them.
-func (t *Tracker) recChunk(w, lo, hi int) {
-	ws := &t.scr.pw[w]
-	ws.recs = ws.recs[:0]
-	ws.hdrs = ws.hdrs[:0]
-	ws.otEpoch++
-	bcasts := t.lastBcasts
-	maxRecordDist := t.scr.maxRecordDist
-	for bi := lo; bi < hi; bi++ {
-		b := bcasts[bi]
-		hdr := recHeader{bid: b.id}
-		recorders := t.selectRecordersInto(&ws.cand, b, maxRecordDist, 0)
-		for attempt := 1; len(recorders) == 0 && attempt <= t.cfg.Rebroadcasts; attempt++ {
-			hdr.retries++
-			dist := maxRecordDist * math.Pow(t.cfg.RebroadcastBackoff, float64(attempt))
-			recorders = t.selectRecordersInto(&ws.cand, b, dist, attempt)
-			if len(recorders) > 0 {
-				hdr.saved = true
-			}
-		}
-		if len(recorders) == 0 {
-			hdr.dropped = true
-			ws.hdrs = append(ws.hdrs, hdr)
-			continue
-		}
-		ws.positions = ws.positions[:0]
-		for _, id := range recorders {
-			ws.positions = append(ws.positions, t.nw.Node(id).Pos)
-		}
-		ws.ratios = b.area.AppendDivisionRatios(ws.ratios[:0], ws.positions)
-		for i, id := range recorders {
-			if ws.otStamp[id] != ws.otEpoch {
-				ws.otStamp[id] = ws.otEpoch
-				ws.otVal[id], ws.otComp[id] = t.overheardTotalCompute(id, bcasts)
-			}
-			if ws.otComp[id] {
-				hdr.comp++
-			}
-			wj := ws.otVal[id]
-			if wj <= 0 {
-				continue
-			}
-			share := ws.ratios[i] * b.w / wj
-			hop := ws.positions[i].Sub(b.pos).Scale(1 / t.cfg.Dt)
-			vel := hop.Lerp(b.vel, t.cfg.VelSmoothing)
-			ws.recs = append(ws.recs, recEntry{id: id, share: share, vel: vel.Scale(share)})
-			hdr.nrec++
-		}
-		ws.hdrs = append(ws.hdrs, hdr)
-	}
-}
-
-// mergeRecorders replays the per-worker output logs in broadcast order,
-// performing every accumulation, retry charge, and counter increment exactly
-// as the serial recorder loop interleaves them.
-func (t *Tracker) mergeRecorders(res *StepResult) {
-	scr := &t.scr
-	sizes := t.cfg.Sizes
-	n := len(t.lastBcasts)
-	chunk := (n + t.pool.workers - 1) / t.pool.workers
-	for w := 0; w*chunk < n; w++ {
-		ws := &scr.pw[w]
-		ri := 0
-		for _, hdr := range ws.hdrs {
-			for r := int16(0); r < hdr.retries; r++ {
-				t.nw.Transmit(hdr.bid, wsn.MsgParticle, sizes.Dp+sizes.Dw)
-				t.resil.Rebroadcasts++
-			}
-			if hdr.saved {
-				t.resil.RebroadcastSaves++
-			}
-			t.resil.Compensated += int(hdr.comp)
-			if hdr.dropped {
-				res.Dropped++
-				continue
-			}
-			for k := int32(0); k < hdr.nrec; k++ {
-				e := ws.recs[ri]
-				ri++
-				if scr.accStamp[e.id] != scr.accEpoch {
-					scr.accStamp[e.id] = scr.accEpoch
-					scr.accW[e.id] = 0
-					scr.accVel[e.id] = mathx.Vec2{}
-					scr.touched = append(scr.touched, e.id)
-				}
-				scr.accW[e.id] += e.share
-				scr.accVel[e.id] = scr.accVel[e.id].Add(e.vel)
-			}
-		}
-	}
 }

@@ -325,17 +325,13 @@ func (t *Tracker) propagate(res *StepResult) {
 
 	t.scr.accEpoch++
 	t.scr.touched = t.scr.touched[:0]
-	t.scr.maxRecordDist = maxRecordDist
 	t.gatherBcastColumns(bcasts)
 	t.scr.otEpoch++
-	if t.parallelOK(len(bcasts)) {
-		// Parallel recorder resolution: workers log per-broadcast outcomes,
-		// the serial merge replays them in broadcast order (pool.go).
-		t.ensurePool().run(t, phaseRec, len(bcasts))
-		t.mergeRecorders(res)
-	} else {
-		t.recordSerial(bcasts, maxRecordDist, res)
+	shared := !t.cfg.PerParticleAreas && res.PredictedValid
+	if shared {
+		t.sweepShared(res.Predicted, maxRecordDist)
 	}
+	t.record(bcasts, maxRecordDist, shared, res)
 
 	// Install the recorded particles (combining happens implicitly: one
 	// accumulator per node). Install order is ascending ID.
@@ -376,14 +372,26 @@ func (t *Tracker) propagate(res *StepResult) {
 	}
 }
 
-// recordSerial is the serial recorder-resolution loop of the propagation
-// phase: for every broadcast, select its recorders (with bounded rebroadcast
-// retries), split the weight by division ratio over each recorder's
-// (memoized) overheard total, and accumulate the shares in broadcast order.
-func (t *Tracker) recordSerial(bcasts []bcast, maxRecordDist float64, res *StepResult) {
+// record is the recorder-resolution loop of the propagation phase: for
+// every broadcast, select its recorders (with bounded rebroadcast retries),
+// split the weight by division ratio over each recorder's overheard total,
+// and accumulate the shares in broadcast order. With shared set, attempt 0
+// of every broadcast comes from the sweepShared tables; retries and
+// per-particle areas resolve one broadcast at a time.
+func (t *Tracker) record(bcasts []bcast, maxRecordDist float64, shared bool, res *StepResult) {
 	sizes := t.cfg.Sizes
-	for _, b := range bcasts {
-		recorders := t.selectRecordersInto(&t.scr.cand, b, maxRecordDist, 0)
+	sw := &t.scr.sw
+	for bi := range bcasts {
+		b := &bcasts[bi]
+		var recorders []wsn.NodeID
+		if shared {
+			if idx := sw.rec[sw.off[bi]:sw.off[bi+1]]; len(idx) > 0 {
+				t.recordSwept(b, idx)
+				continue
+			}
+		} else {
+			recorders = t.selectRecordersInto(&t.scr.cand, *b, maxRecordDist, 0)
+		}
 		// Bounded re-broadcast with backoff: a holder whose propagation drew
 		// no recorder (nobody awake/reachable in the predicted area) retries
 		// up to Rebroadcasts times, each retry charged like the original
@@ -394,7 +402,7 @@ func (t *Tracker) recordSerial(bcasts []bcast, maxRecordDist float64, res *StepR
 			t.nw.Transmit(b.id, wsn.MsgParticle, sizes.Dp+sizes.Dw)
 			t.resil.Rebroadcasts++
 			dist := maxRecordDist * math.Pow(t.cfg.RebroadcastBackoff, float64(attempt))
-			recorders = t.selectRecordersInto(&t.scr.cand, b, dist, attempt)
+			recorders = t.selectRecordersInto(&t.scr.cand, *b, dist, attempt)
 			if len(recorders) > 0 {
 				t.resil.RebroadcastSaves++
 			}
@@ -408,41 +416,147 @@ func (t *Tracker) recordSerial(bcasts []bcast, maxRecordDist float64, res *StepR
 		for _, id := range recorders {
 			t.scr.positions = append(t.scr.positions, t.nw.Node(id).Pos)
 		}
-		positions := t.scr.positions
-		t.scr.ratios = b.area.AppendDivisionRatios(t.scr.ratios[:0], positions)
-		ratios := t.scr.ratios
-		// Per-recorder overheard total: the sum of broadcast weights this
-		// recorder could physically hear (all broadcasters within one hop).
+		t.scr.ratios = b.area.AppendDivisionRatios(t.scr.ratios[:0], t.scr.positions)
 		for i, id := range recorders {
-			wj := t.overheardTotalMemo(id, bcasts)
-			if wj <= 0 {
-				continue
-			}
-			if t.scr.accStamp[id] != t.scr.accEpoch {
-				t.scr.accStamp[id] = t.scr.accEpoch
-				t.scr.accW[id] = 0
-				t.scr.accVel[id] = mathx.Vec2{}
-				t.scr.touched = append(t.scr.touched, id)
-			}
-			share := ratios[i] * b.w / wj
-			t.scr.accW[id] += share
-			// The recorded particle's velocity blends the realized
-			// displacement from the source host to the recorder with the
-			// source particle's own velocity, damping the quantization
-			// noise the node-hop injects into the velocity estimate.
-			hop := positions[i].Sub(b.pos).Scale(1 / t.cfg.Dt)
-			vel := hop.Lerp(b.vel, t.cfg.VelSmoothing)
-			t.scr.accVel[id] = t.scr.accVel[id].Add(vel.Scale(share))
+			t.accumulate(b, id, t.scr.positions[i], t.scr.ratios[i], t.overheardTotalMemo(id, bcasts))
 		}
 	}
+}
+
+// recordSwept accumulates broadcast b's shares over its attempt-0 recorders,
+// given as indices into the sweepShared candidate tables.
+func (t *Tracker) recordSwept(b *bcast, idx []int32) {
+	sw := &t.scr.sw
+	ratios := t.sweptRatios(idx)
+	for i, c := range idx {
+		if sw.comp[c] {
+			t.resil.Compensated++
+		}
+		t.accumulate(b, sw.id[c], sw.pos[c], ratios[i], sw.tot[c])
+	}
+}
+
+// sweptRatios returns the division ratios over the swept recorders idx, from
+// their stored linear-model probabilities.
+func (t *Tracker) sweptRatios(idx []int32) []float64 {
+	ratios := t.scr.ratios[:0]
+	for _, c := range idx {
+		ratios = append(ratios, t.scr.sw.prob[c])
+	}
+	cluster.NormalizeRatios(ratios)
+	t.scr.ratios = ratios
+	return ratios
+}
+
+// accumulate adds broadcast b's share ratio·w/wj to recorder id's weight and
+// velocity accumulators; a recorder that overheard no weight (wj <= 0)
+// records nothing.
+func (t *Tracker) accumulate(b *bcast, id wsn.NodeID, pos mathx.Vec2, ratio, wj float64) {
+	if wj <= 0 {
+		return
+	}
+	scr := &t.scr
+	if scr.accStamp[id] != scr.accEpoch {
+		scr.accStamp[id] = scr.accEpoch
+		scr.accW[id] = 0
+		scr.accVel[id] = mathx.Vec2{}
+		scr.touched = append(scr.touched, id)
+	}
+	share := ratio * b.w / wj
+	scr.accW[id] += share
+	// The recorded particle's velocity blends the realized displacement from
+	// the source host to the recorder with the source particle's own
+	// velocity, damping the quantization noise the node-hop injects into the
+	// velocity estimate.
+	hop := pos.Sub(b.pos).Scale(1 / t.cfg.Dt)
+	vel := hop.Lerp(b.vel, t.cfg.VelSmoothing)
+	scr.accVel[id] = scr.accVel[id].Add(vel.Scale(share))
+}
+
+// sweepShared resolves attempt 0 of every broadcast at once in the shared
+// predicted-area geometry, where all broadcasts name the same center and
+// recording distance. One spatial query yields the candidates (with the
+// order, positions and probabilities a per-broadcast query would give), and
+// one row-major pass over the broadcast×candidate pairs decides each link
+// once: a heard link makes the candidate a recorder of that broadcast and
+// adds the broadcast's weight to the candidate's overheard total, in
+// broadcast order — the same additions overheardTotalCompute performs.
+// Burst-loss draws do not depend on query order, so deciding each link once
+// here leaves every outcome unchanged.
+func (t *Tracker) sweepShared(center mathx.Vec2, maxRecordDist float64) {
+	scr := &t.scr
+	sw := &scr.sw
+	area := cluster.PredictedArea{Center: center, Radius: t.cfg.PredictRadius}
+	sw.id = t.nw.AppendActiveNodesWithin(sw.id[:0], center, maxRecordDist)
+	n := len(sw.id)
+	sw.pos, sw.prob = sw.pos[:0], sw.prob[:0]
+	for _, id := range sw.id {
+		p := t.nw.Node(id).Pos
+		sw.pos = append(sw.pos, p)
+		sw.prob = append(sw.prob, area.Probability(p))
+	}
+	sw.tot = growF(sw.tot, n)
+	sw.comp = growB(sw.comp, n)
+	sw.heard = slices.Grow(sw.heard[:0], n)[:n]
+	sw.inRange = slices.Grow(sw.inRange[:0], n)[:n]
+	clear(sw.tot)
+	clear(sw.heard)
+	clear(sw.inRange)
+	sw.rec, sw.off = sw.rec[:0], append(sw.off[:0], 0)
+	rt := newRangeTest(t.nw.Cfg.CommRadius)
+	lossFree := t.nw.LossFree()
+	for bi, w := range scr.bw {
+		bx, by, bid := scr.bx[bi], scr.by[bi], wsn.NodeID(scr.bid[bi])
+		for c, id := range sw.id {
+			if id != bid && rt.beyond(sw.pos[c].X-bx, sw.pos[c].Y-by) {
+				continue
+			}
+			sw.inRange[c]++
+			if id == bid || lossFree || t.nw.Delivers(bid, id) {
+				sw.tot[c] += w
+				sw.heard[c]++
+				sw.rec = append(sw.rec, int32(c))
+			}
+		}
+		sw.off = append(sw.off, int32(len(sw.rec)))
+	}
+	for c := range sw.id {
+		sw.tot[c], sw.comp[c] = t.compensate(sw.tot[c], int(sw.heard[c]), int(sw.inRange[c]))
+	}
+}
+
+// rangeTest decides Hypot(dx, dy) > r exactly while computing Hypot only
+// near the boundary: a squared distance outside a relative 1e-9 band around
+// r² settles the comparison (both d² and Hypot are within a few ulps of
+// exact), and pairs inside the band fall back to Hypot itself. Radii whose
+// square is not a comfortably normal float (or that are negative or NaN)
+// widen the band to everything.
+type rangeTest struct{ r, lo2, hi2 float64 }
+
+func newRangeTest(r float64) rangeTest {
+	if !(r >= 1e-145 && r <= 1e145) {
+		return rangeTest{r: r, lo2: math.Inf(-1), hi2: math.Inf(1)}
+	}
+	return rangeTest{r: r, lo2: r * r * (1 - 1e-9), hi2: r * r * (1 + 1e-9)}
+}
+
+// beyond reports math.Hypot(dx, dy) > rt.r.
+func (rt rangeTest) beyond(dx, dy float64) bool {
+	d2 := dx*dx + dy*dy
+	if d2 < rt.lo2 {
+		return false
+	}
+	if d2 > rt.hi2 {
+		return true
+	}
+	return math.Hypot(dx, dy) > rt.r
 }
 
 // selectRecordersInto returns the awake nodes within maxDist of the
 // broadcast's predicted-area center that physically received the attempt-th
 // transmission of the broadcast: within the communication radius of the
 // sender (or the sender itself). The returned slice aliases *buf (grown in
-// place) and is invalidated by the next call with the same buffer; parallel
-// workers pass their own buffers.
+// place) and is invalidated by the next call with the same buffer.
 func (t *Tracker) selectRecordersInto(buf *[]wsn.NodeID, b bcast, maxDist float64, attempt int) []wsn.NodeID {
 	commR := t.nw.Cfg.CommRadius
 	*buf = t.nw.AppendActiveNodesWithin((*buf)[:0], b.area.Center, maxDist)
@@ -470,50 +584,14 @@ func (t *Tracker) gatherBcastColumns(bcasts []bcast) {
 	}
 }
 
-// overheardTotal returns the sum of broadcast weights receivable at node id:
-// broadcasts from within the communication radius (overhearing effect).
-//
-// With CompensateLoss enabled, the recorder falls back to extrapolating its
-// locally-observed total when the overheard total is incomplete: a radio
-// detects in-range frames it failed to decode (preamble heard, CRC failed)
-// even though it cannot recover their payloads, so the recorder knows how
-// many in-range propagation broadcasts it missed and scales the weight it
-// did observe by inRange/heard. Without packet loss heard == inRange and
-// the total is exactly the seed behavior.
-func (t *Tracker) overheardTotal(id wsn.NodeID, bcasts []bcast) float64 {
-	pos := t.nw.Node(id).Pos
-	commR := t.nw.Cfg.CommRadius
-	total := 0.0
-	heard, inRange := 0, 0
-	for i := range bcasts {
-		if bcasts[i].id == id {
-			total += bcasts[i].w
-			heard++
-			inRange++
-			continue
-		}
-		if bcasts[i].pos.Dist(pos) > commR {
-			continue
-		}
-		inRange++
-		if t.nw.Delivers(bcasts[i].id, id) {
-			total += bcasts[i].w
-			heard++
-		}
-	}
-	if t.cfg.CompensateLoss && heard > 0 && inRange > heard {
-		total *= float64(inRange) / float64(heard)
-		t.resil.Compensated++
-	}
-	return total
-}
-
-// overheardTotalCompute is overheardTotal without the Compensated counter
-// side effect: it returns the total plus whether compensation fired, so memo
-// layers can replay the counter per lookup. Within one propagation phase the
-// total is a pure function of (id, bcasts, loss epoch); when no loss process
-// is configured it delegates to the loss-free batch kernel over the gathered
-// broadcast columns (identical Hypot operands, identical summation order).
+// overheardTotalCompute returns the sum of broadcast weights receivable at
+// node id — broadcasts from within the communication radius (overhearing
+// effect) — plus whether loss compensation fired. It has no counter side
+// effect, so memo layers can replay the Compensated counter per lookup.
+// Within one propagation phase the total is a pure function of (id, bcasts,
+// loss epoch); when no loss process is configured it delegates to the
+// loss-free batch kernel over the gathered broadcast columns (identical
+// Hypot operands, identical summation order).
 func (t *Tracker) overheardTotalCompute(id wsn.NodeID, bcasts []bcast) (float64, bool) {
 	pos := t.nw.Node(id).Pos
 	commR := t.nw.Cfg.CommRadius
@@ -539,6 +617,16 @@ func (t *Tracker) overheardTotalCompute(id wsn.NodeID, bcasts []bcast) (float64,
 			heard++
 		}
 	}
+	return t.compensate(total, heard, inRange)
+}
+
+// compensate applies CompensateLoss to an overheard total. A radio detects
+// in-range frames it failed to decode (preamble heard, CRC failed) even
+// though it cannot recover their payloads, so the recorder knows how many
+// in-range propagation broadcasts it missed and scales the weight it did
+// observe by inRange/heard. Without packet loss heard == inRange and the
+// total is returned unchanged.
+func (t *Tracker) compensate(total float64, heard, inRange int) (float64, bool) {
 	comp := t.cfg.CompensateLoss && heard > 0 && inRange > heard
 	if comp {
 		total *= float64(inRange) / float64(heard)
@@ -546,11 +634,12 @@ func (t *Tracker) overheardTotalCompute(id wsn.NodeID, bcasts []bcast) (float64,
 	return total, comp
 }
 
-// overheardTotalMemo is the serial path's memoized overheardTotal: the seed
+// overheardTotalMemo is the memoized overheardTotalCompute: the seed
 // recomputed the same total for every (broadcast, recorder) pair — O(B²·R)
 // distance and loss work per iteration — while it only depends on the
-// recorder. The memo is invalidated per propagation phase (otEpoch), and a
-// hit replays the Compensated increment the direct call would have made.
+// recorder. The memo is invalidated per propagation phase (otEpoch), and
+// every lookup of a compensated total counts one Compensated event, as one
+// uncached computation per lookup would.
 func (t *Tracker) overheardTotalMemo(id wsn.NodeID, bcasts []bcast) float64 {
 	scr := &t.scr
 	if scr.otStamp[id] != scr.otEpoch {
@@ -749,7 +838,7 @@ func (t *Tracker) assignLikelihood(obs []Observation, res *StepResult) {
 		// Parallel holder update: disjoint writes into logls/heard, gate
 		// counts merged per worker chunk (pool.go).
 		n := len(holders)
-		t.ensurePool().run(t, phaseLik, n)
+		t.ensurePool().run(t, n)
 		chunk := (n + t.pool.workers - 1) / t.pool.workers
 		for w := 0; w*chunk < n; w++ {
 			t.gated += t.scr.pw[w].gated

@@ -202,8 +202,9 @@ func TestOverhearingConsistency(t *testing.T) {
 	}
 	// Every holder (a guaranteed overhearing participant) must compute a
 	// total within 10% of the global one.
+	tr.gatherBcastColumns(bcasts)
 	for _, id := range holders {
-		local := tr.overheardTotal(id, bcasts)
+		local, _ := tr.overheardTotalCompute(id, bcasts)
 		if math.Abs(local-globalTotal) > 0.1*globalTotal {
 			t.Fatalf("holder %d overheard %v of global %v", id, local, globalTotal)
 		}

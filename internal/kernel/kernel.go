@@ -8,8 +8,8 @@
 // Determinism contract: every kernel evaluates the same floating-point
 // expressions in the same order as the scalar reference it replaces
 // (statex.BearingSensor.LogLikelihood / JointLogLikelihood, the tracker's
-// bearingLL/effSigma/overheardTotal, core.EstimateContributionsInto), so
-// results are bit-identical — the goldens, offline twins, and durability
+// bearingLL/effSigma/overheardTotalCompute, core.EstimateContributionsInto),
+// so results are bit-identical — the goldens, offline twins, and durability
 // byte-diff tests all hold with the kernels enabled. Constants that do not
 // vary per element (the Gaussian log-normalizer, the Student-t Lgamma terms)
 // are hoisted into the Bearing value at construction; hoisting never changes
@@ -274,8 +274,8 @@ func Contributions(c, x, y []float64, px, py, minDist float64) {
 // OverheardSum aggregates the loss-free overheard weight total at a receiver:
 // Σ w[i] over broadcasts whose sender is the receiver itself or within commR
 // of it, summed in broadcast order — the lossNone specialization of the
-// tracker's overheardTotal (with reliable links heard == inRange, so the
-// compensation path never fires and the total alone suffices).
+// tracker's overheardTotalCompute (with reliable links heard == inRange, so
+// the compensation path never fires and the total alone suffices).
 func OverheardSum(bx, by, bw []float64, ids []int32, rid int32, rx, ry, commR float64) float64 {
 	n := len(bw)
 	if len(bx) != n || len(by) != n || len(ids) != n {
