@@ -164,8 +164,7 @@ type scratch struct {
 	bid        []int32
 	sx, sy, sz []float64
 	// pairDist/pairMask buffer one holder's per-sharer distances and
-	// audibility mask for kernel.Bearing.MaskedSum (serial path; parallel
-	// workers carry their own in workerScratch).
+	// audibility mask for kernel.Bearing.MaskedSum.
 	pairDist []float64
 	pairMask []bool
 
@@ -182,8 +181,6 @@ type scratch struct {
 
 	// sw holds the shared-area sweep's tables (sweepShared).
 	sw sweep
-	// pw is the per-worker scratch set, created with the step pool.
-	pw []workerScratch
 
 	// Quarantine-scoring buffers (scoreSharers).
 	ms    []statex.Measurement
@@ -223,21 +220,12 @@ func newScratch(n int) scratch {
 	}
 }
 
-// growF returns s with length n, reusing its backing array when capacity
-// allows. Contents are unspecified; callers overwrite every element.
-func growF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growB is growF for bool slices.
-func growB(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
+// grow returns s with length n, reusing its backing array when capacity
+// allows and otherwise growing it geometrically, so a buffer that tracks a
+// slowly rising size reallocates only O(log n) times. Contents are
+// unspecified; callers overwrite every element.
+func grow[E any](s []E, n int) []E {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // snapshotHolders copies the sorted holder list into the scratch snapshot so

@@ -60,7 +60,7 @@ func EstimateContributionsInto(nw *wsn.Network, pred mathx.Vec2, radius float64,
 		cs.xs = append(cs.xs, pos.X)
 		cs.ys = append(cs.ys, pos.Y)
 	}
-	cs.C = growF(cs.C, len(cs.Nodes))
+	cs.C = grow(cs.C, len(cs.Nodes))
 	kernel.Contributions(cs.C, cs.xs, cs.ys, pred.X, pred.Y, minContributionDist)
 	cs.Area = pred
 	return true

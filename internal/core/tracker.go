@@ -70,10 +70,8 @@ type Tracker struct {
 	gated int
 
 	// bk is the batch bearing-likelihood evaluator (internal/kernel) with the
-	// model's normalization constants hoisted; pool is the lazily-started
-	// intra-step worker pool (pool.go), nil until the first parallel phase.
-	bk   kernel.Bearing
-	pool *stepPool
+	// model's normalization constants hoisted.
+	bk kernel.Bearing
 }
 
 // ResilienceStats counts the tracker's degradation events across a run:
@@ -488,21 +486,21 @@ func (t *Tracker) sweepShared(center mathx.Vec2, maxRecordDist float64) {
 	sw := &scr.sw
 	area := cluster.PredictedArea{Center: center, Radius: t.cfg.PredictRadius}
 	sw.id = t.nw.AppendActiveNodesWithin(sw.id[:0], center, maxRecordDist)
-	n := len(sw.id)
-	sw.pos, sw.prob = sw.pos[:0], sw.prob[:0]
-	for _, id := range sw.id {
+	// Reserve every table once per phase from the sizes the sweep knows:
+	// n candidates and nb broadcasts, at most n·nb recorder entries, and at
+	// most n recorders (hence division ratios) per broadcast.
+	n, nb := len(sw.id), len(scr.bw)
+	sw.pos, sw.prob, sw.tot, sw.comp = grow(sw.pos, n), grow(sw.prob, n), grow(sw.tot, n), grow(sw.comp, n)
+	sw.heard, sw.inRange = grow(sw.heard, n), grow(sw.inRange, n)
+	sw.rec, sw.off = slices.Grow(sw.rec[:0], n*nb), append(slices.Grow(sw.off[:0], nb+1), 0)
+	scr.ratios = slices.Grow(scr.ratios[:0], n)
+	for c, id := range sw.id {
 		p := t.nw.Node(id).Pos
-		sw.pos = append(sw.pos, p)
-		sw.prob = append(sw.prob, area.Probability(p))
+		sw.pos[c], sw.prob[c] = p, area.Probability(p)
 	}
-	sw.tot = growF(sw.tot, n)
-	sw.comp = growB(sw.comp, n)
-	sw.heard = slices.Grow(sw.heard[:0], n)[:n]
-	sw.inRange = slices.Grow(sw.inRange[:0], n)[:n]
 	clear(sw.tot)
 	clear(sw.heard)
 	clear(sw.inRange)
-	sw.rec, sw.off = sw.rec[:0], append(sw.off[:0], 0)
 	rt := newRangeTest(t.nw.Cfg.CommRadius)
 	lossFree := t.nw.LossFree()
 	for bi, w := range scr.bw {
@@ -571,16 +569,14 @@ func (t *Tracker) selectRecordersInto(buf *[]wsn.NodeID, b bcast, maxDist float6
 }
 
 // gatherBcastColumns mirrors this iteration's finalized broadcasts into the
-// flat scratch columns the batch kernels and parallel workers read.
+// flat scratch columns the batch kernels read.
 func (t *Tracker) gatherBcastColumns(bcasts []bcast) {
 	scr := &t.scr
-	scr.bx, scr.by = scr.bx[:0], scr.by[:0]
-	scr.bw, scr.bid = scr.bw[:0], scr.bid[:0]
+	n := len(bcasts)
+	scr.bx, scr.by, scr.bw, scr.bid = grow(scr.bx, n), grow(scr.by, n), grow(scr.bw, n), grow(scr.bid, n)
 	for i := range bcasts {
-		scr.bx = append(scr.bx, bcasts[i].pos.X)
-		scr.by = append(scr.by, bcasts[i].pos.Y)
-		scr.bw = append(scr.bw, bcasts[i].w)
-		scr.bid = append(scr.bid, int32(bcasts[i].id))
+		b := &bcasts[i]
+		scr.bx[i], scr.by[i], scr.bw[i], scr.bid[i] = b.pos.X, b.pos.Y, b.w, int32(b.id)
 	}
 }
 
@@ -707,13 +703,12 @@ func (t *Tracker) bearingLL(from mathx.Vec2, z float64, cand mathx.Vec2) float64
 // the flat scratch columns the holder-update kernel reads.
 func (t *Tracker) gatherSharerColumns(sharers []wsn.NodeID) {
 	scr := &t.scr
-	scr.sx, scr.sy, scr.sz = scr.sx[:0], scr.sy[:0], scr.sz[:0]
-	for _, sid := range sharers {
+	n := len(sharers)
+	scr.sx, scr.sy, scr.sz = grow(scr.sx, n), grow(scr.sy, n), grow(scr.sz, n)
+	for i, sid := range sharers {
 		pos := t.nw.Node(sid).Pos
-		b, _ := t.hasObs(sid)
-		scr.sx = append(scr.sx, pos.X)
-		scr.sy = append(scr.sy, pos.Y)
-		scr.sz = append(scr.sz, b)
+		scr.sx[i], scr.sy[i] = pos.X, pos.Y
+		scr.sz[i], _ = t.hasObs(sid)
 	}
 }
 
@@ -721,12 +716,13 @@ func (t *Tracker) gatherSharerColumns(sharers []wsn.NodeID) {
 // sharers via the batch kernel. The per-sharer distance doubles as the radio
 // range check and the quantization-sigma input — the scalar path computed the
 // identical math.Hypot twice (Vec2.Dist in the range test, effSigma's from
-// .Dist(cand)), so sharing one evaluation is bit-identical. dist and mask are
-// caller-owned buffers of len(sharers) (parallel workers pass their own).
-func (t *Tracker) holderLL(id wsn.NodeID, sharers []wsn.NodeID, dist []float64, mask []bool) (ll float64, heard bool, gated int) {
+// .Dist(cand)), so sharing one evaluation is bit-identical. The caller sizes
+// the pairDist and pairMask scratch to len(sharers).
+func (t *Tracker) holderLL(id wsn.NodeID, sharers []wsn.NodeID) (ll float64, heard bool, gated int) {
 	pos := t.nw.Node(id).Pos
 	commR := t.nw.Cfg.CommRadius
 	scr := &t.scr
+	dist, mask := scr.pairDist, scr.pairMask
 	lossFree := t.nw.LossFree()
 	for k, sid := range sharers {
 		d := math.Hypot(scr.sx[k]-pos.X, scr.sy[k]-pos.Y)
@@ -824,34 +820,19 @@ func (t *Tracker) assignLikelihood(obs []Observation, res *StepResult) {
 			// iteration rather than trusting known-bad measurements.
 			return
 		}
-		// The parallel likelihood phase reads the sharer list from scratch:
-		// publish the usable list, or its workers would index the sharer
-		// columns with the unfiltered length.
-		t.scr.sharers = sharers
 	}
 	t.gatherSharerColumns(sharers)
 	holders := t.snapshotHolders()
-	logls := growF(t.scr.logls, len(holders))
-	heardAny := growB(t.scr.heard, len(holders))
+	logls := grow(t.scr.logls, len(holders))
+	heardAny := grow(t.scr.heard, len(holders))
 	t.scr.logls, t.scr.heard = logls, heardAny
-	if t.parallelOK(len(holders)) {
-		// Parallel holder update: disjoint writes into logls/heard, gate
-		// counts merged per worker chunk (pool.go).
-		n := len(holders)
-		t.ensurePool().run(t, n)
-		chunk := (n + t.pool.workers - 1) / t.pool.workers
-		for w := 0; w*chunk < n; w++ {
-			t.gated += t.scr.pw[w].gated
-		}
-	} else {
-		t.scr.pairDist = growF(t.scr.pairDist, len(sharers))
-		t.scr.pairMask = growB(t.scr.pairMask, len(sharers))
-		for i, id := range holders {
-			ll, heard, g := t.holderLL(id, sharers, t.scr.pairDist, t.scr.pairMask)
-			logls[i] = ll
-			heardAny[i] = heard
-			t.gated += g
-		}
+	t.scr.pairDist = grow(t.scr.pairDist, len(sharers))
+	t.scr.pairMask = grow(t.scr.pairMask, len(sharers))
+	for i, id := range holders {
+		ll, heard, g := t.holderLL(id, sharers)
+		logls[i] = ll
+		heardAny[i] = heard
+		t.gated += g
 	}
 	// Common rescaling by the maximum log-likelihood. This is a uniform
 	// scale factor (normalization happens next iteration via overhearing),

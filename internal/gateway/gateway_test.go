@@ -360,8 +360,13 @@ func TestAggregatedMetrics(t *testing.T) {
 		`cdpfgw_breaker_opens_total{backend="b1"} 0`,
 		"cdpfgw_parked_requests_total",
 		"cdpfgw_park_timeouts_total",
-		"cdpfgw_park_latency_seconds_bucket{le=\"+Inf\"}",
-		"cdpfgw_park_latency_seconds_count",
+		// Both daemons bucket latency with serve.Histogram: pin its first
+		// and last bounds as each daemon renders them.
+		"cdpfgw_park_latency_seconds_bucket{le=\"0.0001\"} 0\n",
+		"cdpfgw_park_latency_seconds_bucket{le=\"52.4288\"} 0\n",
+		"cdpfgw_park_latency_seconds_bucket{le=\"+Inf\"} 0\n",
+		"cdpfgw_park_latency_seconds_count 0\n",
+		fmt.Sprintf("cdpfd_step_latency_seconds_bucket{le=\"52.4288\"} %d\n", len(batches)),
 		"cdpfgw_stream_aborts_total",
 		"cdpfd_sessions_created_total 1",
 		fmt.Sprintf("cdpfd_steps_total %d", len(batches)),

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -68,6 +69,20 @@ func waitStepped(t *testing.T, m *Manager, id string, n int) {
 	t.Fatalf("session %q never reached %d steps", id, n)
 }
 
+// waitRetired polls until the shard has retired session id from the live
+// set, after which its ID may be created again.
+func waitRetired(t *testing.T, m *Manager, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if _, live := m.Get(id); !live {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("session %q never retired", id)
+}
+
 // collectAll subscribes and drains the full record stream.
 func collectAll(t *testing.T, m *Manager, id string) []trace.Record {
 	t.Helper()
@@ -110,6 +125,45 @@ func assertTwinIdentity(t *testing.T, spec SessionSpec, got []trace.Record) {
 	}
 }
 
+// legacyCopy rewrites the durable state of session id in dir into a fresh
+// directory the way an older server wrote it: the same WAL records and
+// snapshot, but with "Parallelism":1 in the tracker config of the spec JSON
+// (the field core.Config carried, and sessions pinned, before the tracker
+// lost its intra-step worker pool). Returns the new directory.
+func legacyCopy(t *testing.T, dir, id string) string {
+	t.Helper()
+	st, rec := openStore(t, dir)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, snap := rec.Sessions[id], rec.Snapshots[id]
+	legacy := bytes.Replace(log.SpecJSON, []byte(`"Rebroadcasts":`), []byte(`"Parallelism":1,"Rebroadcasts":`), 1)
+	if bytes.Equal(legacy, log.SpecJSON) {
+		t.Fatalf("logged spec has no tracker config: %s", log.SpecJSON)
+	}
+	out := t.TempDir()
+	st, _ = openStore(t, out)
+	if err := st.LogCreate(0, id, legacy); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range log.Batches {
+		if err := st.LogBatch(0, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snap != nil {
+		old := *snap
+		old.SpecJSON = legacy
+		if err := st.SaveSnapshot(&old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestRecoverResumesMidRunByteIdentical is the core crash-recovery contract
 // at the package level: crash a durable manager mid-session, rebuild from
 // disk into a manager with a different shard count, finish the feed, and
@@ -119,13 +173,18 @@ func TestRecoverResumesMidRunByteIdentical(t *testing.T) {
 		name          string
 		snapshotEvery int
 		wantReplayed  int64 // batches re-stepped from the WAL on recovery
+		legacy        bool  // recover from a legacyCopy of the crashed state
 	}{
 		// Snapshot cadence 4 and crash at step 5: recovery starts from the
 		// step-4 snapshot and replays exactly one WAL batch.
-		{"snapshot-plus-tail", 4, 1},
+		{"snapshot-plus-tail", 4, 1, false},
 		// Cadence beyond the run: no snapshot exists, the WAL rebuilds all
 		// five steps.
-		{"wal-only", 1000, 5},
+		{"wal-only", 1000, 5, false},
+		// A store written before the Parallelism field was removed: the
+		// unknown field is ignored and the snapshot still matches its
+		// create record byte for byte.
+		{"legacy-parallelism", 4, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -143,6 +202,9 @@ func TestRecoverResumesMidRunByteIdentical(t *testing.T) {
 			feedRange(t, m1, spec.ID, batches, 0, 5)
 			waitStepped(t, m1, spec.ID, 5)
 			crash(t, m1, st1)
+			if tc.legacy {
+				dir = legacyCopy(t, dir, spec.ID)
+			}
 
 			st2, rec := openStore(t, dir)
 			defer st2.Close()
@@ -285,6 +347,7 @@ func TestRecoverIDReuseIgnoresStaleSnapshot(t *testing.T) {
 	}
 	feedRange(t, m1, first.ID, firstBatches, 0, len(firstBatches))
 	waitStepped(t, m1, first.ID, len(firstBatches))
+	waitRetired(t, m1, first.ID)
 	// The completion snapshot for the first incarnation is on disk now.
 	if _, err := m1.Create(second); err != nil {
 		t.Fatal(err)

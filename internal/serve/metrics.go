@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +28,7 @@ type Metrics struct {
 
 	mu       sync.Mutex
 	rejected map[string]int64 // reason -> count
-	lat      histogram
+	lat      Histogram
 
 	// queueDepth is read live at scrape time.
 	queueDepth func() int
@@ -40,9 +41,7 @@ type Metrics struct {
 // NewMetrics returns an empty registry. queueDepth, when non-nil, is sampled
 // at scrape time for the cdpfd_queue_depth gauge.
 func NewMetrics(queueDepth func() int) *Metrics {
-	m := &Metrics{rejected: make(map[string]int64), queueDepth: queueDepth}
-	m.lat = newHistogram()
-	return m
+	return &Metrics{rejected: make(map[string]int64), queueDepth: queueDepth}
 }
 
 // SetQueueDepthFunc installs the queue-depth sampler after construction —
@@ -106,7 +105,7 @@ func (m *Metrics) stepDone(d time.Duration) {
 	}
 	m.stepsTotal.Add(1)
 	m.mu.Lock()
-	m.lat.observe(d.Seconds())
+	m.lat.Observe(d.Seconds())
 	m.mu.Unlock()
 }
 
@@ -147,7 +146,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		rejected = append(rejected,
 			fmt.Sprintf("cdpfd_rejected_total{reason=%q} %d", r, m.rejected[r]))
 	}
-	lat := m.lat // histogram is a value type: copy under the lock
+	lat := m.lat // Histogram is a value type: copy under the lock
 	m.mu.Unlock()
 
 	var err error
@@ -184,15 +183,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	}
 	p("# HELP cdpfd_step_latency_seconds Queue-to-stepped latency per filter iteration.\n")
 	p("# TYPE cdpfd_step_latency_seconds histogram\n")
-	cum := int64(0)
-	for i, ub := range latencyBuckets {
-		cum += lat.counts[i]
-		p("cdpfd_step_latency_seconds_bucket{le=%q} %d\n", formatUpperBound(ub), cum)
+	if err == nil {
+		err = lat.WritePrometheus(w, "cdpfd_step_latency_seconds")
 	}
-	cum += lat.counts[len(latencyBuckets)]
-	p("cdpfd_step_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	p("cdpfd_step_latency_seconds_sum %g\n", lat.sum)
-	p("cdpfd_step_latency_seconds_count %d\n", cum)
 	if d := m.durability; d != nil {
 		p("# HELP cdpfd_wal_records_total Records appended to the write-ahead log.\n")
 		p("# TYPE cdpfd_wal_records_total counter\n")
@@ -231,7 +224,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// latencyBuckets are the histogram upper bounds in seconds: 100 µs to ~52 s
+// latencyBuckets are the Histogram upper bounds in seconds: 100 µs to ~52 s
 // in powers of two, wide enough for queueing delay under overload.
 var latencyBuckets = func() []float64 {
 	b := make([]float64, 20)
@@ -243,16 +236,17 @@ var latencyBuckets = func() []float64 {
 	return b
 }()
 
-// histogram is a fixed-bucket latency histogram (value semantics so it can
-// be copied out under the registry lock).
-type histogram struct {
+// Histogram is a fixed-bucket latency histogram with upper bounds from
+// 100 µs to ~52 s in powers of two. cdpfd's step latency and cdpfgw's park
+// latency both use it, so fleet dashboards can overlay the two. The zero
+// value is empty; value semantics let a registry copy it out under its lock.
+type Histogram struct {
 	counts [21]int64 // len(latencyBuckets)+1, last bucket is +Inf
 	sum    float64
 }
 
-func newHistogram() histogram { return histogram{} }
-
-func (h *histogram) observe(v float64) {
+// Observe records one latency in seconds.
+func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	for i, ub := range latencyBuckets {
 		if v <= ub {
@@ -263,9 +257,9 @@ func (h *histogram) observe(v float64) {
 	h.counts[len(latencyBuckets)]++
 }
 
-// quantile returns the q-quantile (0..1) estimated from the bucket counts —
-// used by tests and the load generator's summary, not the exposition.
-func (h *histogram) quantile(q float64) float64 {
+// Quantile returns the q-quantile (0..1) estimated from the bucket counts as
+// the upper bound of the bucket holding it; NaN with no observations.
+func (h *Histogram) Quantile(q float64) float64 {
 	var total int64
 	for _, c := range h.counts {
 		total += c
@@ -290,8 +284,18 @@ func (h *histogram) quantile(q float64) float64 {
 	return math.Inf(1)
 }
 
-// formatUpperBound renders a bucket bound the way Prometheus clients do
-// (shortest float form).
-func formatUpperBound(ub float64) string {
-	return fmt.Sprintf("%g", ub)
+// WritePrometheus writes h's samples for the histogram metric name in
+// Prometheus text format: the cumulative _bucket lines (bounds in shortest
+// float form, as Prometheus clients render them), then _sum and _count.
+func (h *Histogram) WritePrometheus(w io.Writer, name string) error {
+	var b strings.Builder
+	var cum int64
+	for i, ub := range latencyBuckets {
+		cum += h.counts[i]
+		fmt.Fprintf(&b, "%s_bucket{le=\"%g\"} %d\n", name, ub, cum)
+	}
+	cum += h.counts[len(latencyBuckets)]
+	fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", name, cum, name, h.sum, name, cum)
+	_, err := io.WriteString(w, b.String())
+	return err
 }

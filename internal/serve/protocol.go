@@ -98,16 +98,6 @@ func (s SessionSpec) normalize() SessionSpec {
 		cfg := core.DefaultConfig(s.UseNE)
 		s.Tracker = &cfg
 	}
-	if s.Tracker.Parallelism == 0 {
-		// Served sessions run single-worker trackers: throughput comes from
-		// cross-session shard parallelism, and pinning the resolved value
-		// into the admitted spec bytes keeps a session's configuration
-		// host-independent (the GOMAXPROCS-derived default would bake the
-		// serving machine's core count into the WAL create record).
-		cfg := *s.Tracker
-		cfg.Parallelism = 1
-		s.Tracker = &cfg
-	}
 	if s.Queue <= 0 {
 		s.Queue = DefaultSessionQueue
 	}

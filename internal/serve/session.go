@@ -83,12 +83,6 @@ func buildSession(sp SessionSpec) (*scenario.Scenario, core.Config, *wsn.FaultSc
 		if err != nil {
 			return fail(err)
 		}
-		if cfg.Parallelism == 0 {
-			// Same host-independence pin normalize() applies to explicit
-			// tracker configs: a session's behavior must not bake in the
-			// serving machine's core count.
-			cfg.Parallelism = 1
-		}
 		return sc, cfg, faults, ax.Algo, nil
 	}
 	sc, err := scenario.Build(sp.Scenario)

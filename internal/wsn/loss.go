@@ -77,14 +77,6 @@ func (nw *Network) ResetLossEpoch() {
 // (internal/kernel.OverheardSum) over the per-link Delivers queries.
 func (nw *Network) LossFree() bool { return nw.lossMode == lossNone }
 
-// LossStateless reports whether loss draws are pure stateless functions of
-// (epoch, link, seed) — true for the none and iid modes, false for the
-// bursty Gilbert–Elliott chain, whose per-link memo mutates on query. The
-// tracker's intra-step parallel phases require stateless draws: concurrent
-// workers may query Delivers for disjoint link sets, which is safe only when
-// a query writes nothing.
-func (nw *Network) LossStateless() bool { return nw.lossMode != lossBurst }
-
 // Delivers reports whether a transmission from `from` reaches `to` in the
 // current epoch, assuming geometry and node state already permit it. With
 // no loss configured it is always true. Self-delivery never fails.
