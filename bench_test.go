@@ -25,7 +25,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/kernel"
 	"repro/internal/mathx"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -85,11 +84,11 @@ func BenchmarkFig5CommCost(b *testing.B) {
 				b.ReportAllocs()
 				var bytes int64
 				for i := 0; i < b.N; i++ {
-					r, err := experiments.RunOnce(scenario.Default(d, benchSeed), algo)
+					out, err := experiments.RunCell(context.Background(), spec.Axes{Algo: string(algo), Density: d, Seed: benchSeed})
 					if err != nil {
 						b.Fatal(err)
 					}
-					bytes = r.Bytes()
+					bytes = out.Result.Bytes()
 				}
 				b.ReportMetric(float64(bytes), "bytes_per_run")
 			})
@@ -107,11 +106,11 @@ func BenchmarkFig6RMSE(b *testing.B) {
 				b.ReportAllocs()
 				var rmse float64
 				for i := 0; i < b.N; i++ {
-					r, err := experiments.RunOnce(scenario.Default(d, benchSeed), algo)
+					out, err := experiments.RunCell(context.Background(), spec.Axes{Algo: string(algo), Density: d, Seed: benchSeed})
 					if err != nil {
 						b.Fatal(err)
 					}
-					rmse = r.RMSE()
+					rmse = out.Result.RMSE()
 				}
 				b.ReportMetric(rmse, "rmse_m")
 			})
@@ -125,13 +124,11 @@ func BenchmarkFailureTolerance(b *testing.B) {
 	b.ReportAllocs()
 	var rmse float64
 	for i := 0; i < b.N; i++ {
-		p := scenario.Default(20, benchSeed)
-		p.FailFraction = 0.3
-		r, err := experiments.RunOnce(p, experiments.AlgoCDPF)
+		out, err := experiments.RunCell(context.Background(), spec.Axes{Algo: "cdpf", Density: 20, Seed: benchSeed, Fail: 0.3})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rmse = r.RMSE()
+		rmse = out.Result.RMSE()
 	}
 	b.ReportMetric(rmse, "rmse_m")
 }
@@ -141,7 +138,7 @@ func BenchmarkDesignAblation(b *testing.B) {
 	b.ReportAllocs()
 	var rows int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.DesignAblation(20, experiments.Seeds(1))
+		res, err := experiments.Exec{}.DesignAblation(20, experiments.Seeds(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +167,7 @@ func BenchmarkAlgoRun(b *testing.B) {
 		b.Run(string(algo), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunOnce(scenario.Default(20, benchSeed), algo); err != nil {
+				if _, err := experiments.RunCell(context.Background(), spec.Axes{Algo: string(algo), Density: 20, Seed: benchSeed}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,8 +210,8 @@ func BenchmarkFleetMonteCarlo(b *testing.B) {
 	trials := fleet.Seeds(benchSeed, 8)
 	for i := 0; i < b.N; i++ {
 		results, err := fleet.Map(context.Background(), fleet.Config{}, trials,
-			func(_ context.Context, seed uint64) (metrics.RunResult, error) {
-				return experiments.RunOnce(scenario.Default(10, seed), experiments.AlgoCDPF)
+			func(ctx context.Context, seed uint64) (*experiments.CellOutcome, error) {
+				return experiments.RunCell(ctx, spec.Axes{Algo: "cdpf", Density: 10, Seed: seed})
 			})
 		if err != nil {
 			b.Fatal(err)
@@ -273,7 +270,7 @@ func BenchmarkGossipAggregation(b *testing.B) {
 func BenchmarkMultiTargetFleet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MultiTargetExperiment(20, []int{2}, []uint64{benchSeed}); err != nil {
+		if _, err := (experiments.Exec{}).MultiTargetExperiment(20, []int{2}, []uint64{benchSeed}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -291,7 +291,7 @@ func runExperiments(o options, exec experiments.Exec) error {
 			h.CostReductionVsSDPF, -h.CostReductionVsCPF, h.ErrIncreaseCDPF, h.ErrIncreaseNE)
 	}
 	if exp == "all" || exp == "failure" {
-		results, err := experiments.FailureSweep(density, []float64{0, 0.1, 0.2, 0.3, 0.4}, seedList)
+		results, err := exec.FailureSweep(density, []float64{0, 0.1, 0.2, 0.3, 0.4}, seedList)
 		if err != nil {
 			return err
 		}
@@ -300,7 +300,7 @@ func runExperiments(o options, exec experiments.Exec) error {
 		}
 	}
 	if exp == "all" || exp == "sleep" {
-		results, err := experiments.SleepSweep(density, []float64{0, 0.1, 0.2, 0.3, 0.4}, seedList)
+		results, err := exec.SleepSweep(density, []float64{0, 0.1, 0.2, 0.3, 0.4}, seedList)
 		if err != nil {
 			return err
 		}
@@ -312,7 +312,7 @@ func runExperiments(o options, exec experiments.Exec) error {
 		}
 	}
 	if exp == "all" || exp == "loss" {
-		results, err := experiments.LossSweep(density, []float64{0, 0.1, 0.2, 0.3, 0.5}, seedList)
+		results, err := exec.LossSweep(density, []float64{0, 0.1, 0.2, 0.3, 0.5}, seedList)
 		if err != nil {
 			return err
 		}
@@ -330,7 +330,7 @@ func runExperiments(o options, exec experiments.Exec) error {
 		}
 	}
 	if exp == "all" || exp == "ablation" {
-		results, err := experiments.DesignAblation(density, seedList)
+		results, err := exec.DesignAblation(density, seedList)
 		if err != nil {
 			return err
 		}
@@ -348,7 +348,7 @@ func runExperiments(o options, exec experiments.Exec) error {
 		}
 	}
 	if exp == "all" || exp == "mobility" {
-		results, err := experiments.MobilitySweep(density, []float64{0, 0.5, 1, 2, 4}, seedList)
+		results, err := exec.MobilitySweep(density, []float64{0, 0.5, 1, 2, 4}, seedList)
 		if err != nil {
 			return err
 		}

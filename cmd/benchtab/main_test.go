@@ -111,24 +111,41 @@ func TestRunSingleExperiments(t *testing.T) {
 }
 
 func TestRunParallelMatchesSerialCSV(t *testing.T) {
-	// The determinism contract at the CLI layer: the CSV a parallel run
-	// writes must be byte-identical to the serial run's.
-	render := func(parallel int) []byte {
+	// The determinism contract at the CLI layer: every CSV a parallel run
+	// of the full suite writes must be byte-identical to the serial run's.
+	render := func(parallel int) map[string][]byte {
 		dir := t.TempDir()
-		o := opts("table1", 2, 10, dir)
+		o := opts("all", 2, 10, dir)
 		o.parallel = parallel
 		if err := run(context.Background(), o); err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, "table1_validation.csv"))
+		paths, err := filepath.Glob(filepath.Join(dir, "*.csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
+		files := make(map[string][]byte, len(paths))
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[filepath.Base(p)] = data
+		}
+		return files
 	}
 	serial := render(1)
-	if par := render(4); string(par) != string(serial) {
-		t.Fatalf("parallel CSV diverged from serial:\n%s\nvs\n%s", serial, par)
+	if len(serial) != 26 {
+		t.Fatalf("serial run wrote %d CSVs, want 26", len(serial))
+	}
+	par := render(4)
+	if len(par) != len(serial) {
+		t.Fatalf("parallel run wrote %d CSVs, serial %d", len(par), len(serial))
+	}
+	for name, want := range serial {
+		if got := par[name]; string(got) != string(want) {
+			t.Errorf("%s: parallel CSV diverged from serial:\n%s\nvs\n%s", name, want, got)
+		}
 	}
 }
 
@@ -155,9 +172,10 @@ func TestRunWritesBenchJSON(t *testing.T) {
 	if rec.Experiment != "table1" || rec.Workers != 4 {
 		t.Fatalf("record = %+v", rec)
 	}
-	// table1 submits probe cells plus one run per (algorithm, seed).
-	if rec.Jobs < 8 {
-		t.Fatalf("jobs = %d, want >= 8", rec.Jobs)
+	// table1 submits one cell per (algorithm, seed) plus SDPF's
+	// particle-budget probe per seed: five algorithms, one seed.
+	if rec.Jobs != 6 {
+		t.Fatalf("jobs = %d, want 6", rec.Jobs)
 	}
 	if rec.WallClockMS <= 0 || rec.JobsPerSec <= 0 {
 		t.Fatalf("throughput not recorded: %+v", rec)

@@ -233,7 +233,7 @@ func run(ctx context.Context, o options) error {
 		}
 	}
 	if o.traceOut != "" {
-		if err := writeTraceFile(out.Trace, o.traceOut); err != nil {
+		if err := writeTraceFile(&out.Trace, o.traceOut); err != nil {
 			return err
 		}
 	}

@@ -27,7 +27,7 @@ type CellOutcome struct {
 	// Trace holds one record per filter iteration. For multi-target cells
 	// the trace follows the lead target (lane 0); Holders carries the live
 	// track count there.
-	Trace *trace.Recorder
+	Trace trace.Recorder
 	// Result is the metrics view of the run: Algo/Density/Seed are the
 	// cell's raw axes — experiment-specific relabeling (loss % in Density,
 	// "cdpf+def/stuck" algo labels) is the caller's business.
@@ -64,14 +64,27 @@ type CellOutcome struct {
 	MeanLiveTracks float64
 }
 
+// baselineFilter is the step the comparison baselines (CPF, SDPF, DPF, EKF)
+// share: one iteration's observations in, the estimate for that iteration
+// out.
+type baselineFilter interface {
+	Step(obs []core.Observation, rng *mathx.RNG) (mathx.Vec2, bool)
+}
+
 // RunCell executes one fully resolved spec cell and returns its outcome.
-// It is the single execution path behind cdpfsim (flag- and spec-driven)
-// and cdpfmatrix: every axis composition — loss × fail-stop × sensor faults
-// × defense × mobility × duty cycle, any algorithm — runs through this loop
-// with exactly the RNG wiring the original per-experiment runners used, so
-// single-axis cells reproduce those experiments' numbers bit for bit.
-// ctx cancels the iteration loop at the next step boundary.
+// It is the single tracking loop behind cdpfsim (flag- and spec-driven),
+// cdpfmatrix and every cell-shaped benchtab sweep: every axis composition —
+// loss × fail-stop × sensor faults × defense × mobility × duty cycle, any
+// algorithm — runs through it, and a sweep is a grid of cells relabeled for
+// its table. ctx cancels the iteration loop at the next step boundary.
 func RunCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
+	return runCell(ctx, ax, nil)
+}
+
+// runCell is RunCell with an optional tracker-config override for
+// cdpf-family cells (the design ablation's variants); nil runs the config
+// the axes resolve to.
+func runCell(ctx context.Context, ax spec.Axes, cfg *core.Config) (*CellOutcome, error) {
 	ax = ax.Normalized()
 	if err := ax.Validate(); err != nil {
 		return nil, err
@@ -111,75 +124,49 @@ func RunCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 		Density:    ax.Density,
 		Seed:       ax.Seed,
 		Iterations: sc.Iterations(),
+		Errors:     make([]float64, 0, sc.Iterations()),
 	}
 
-	// step runs iteration k and reports the estimate, the iteration it is
-	// for, its validity, and the holder count (-1 when the algorithm has no
-	// notion of particle-holding nodes).
-	var step func(k int) (mathx.Vec2, int, bool, int)
-	var tr *core.Tracker
-	var lastStep core.StepResult
+	// A cdpf-family cell steps tr, a baseline cell steps base; each
+	// algorithm draws from its own stream of the scenario.
+	var (
+		tr       *core.Tracker
+		base     baselineFilter
+		rng      *mathx.RNG
+		lastStep core.StepResult
+	)
 	switch ax.Algo {
 	case "cdpf", "cdpf-ne":
-		cfg, err := ax.TrackerConfig()
-		if err != nil {
-			return nil, err
+		if cfg == nil {
+			c, err := ax.TrackerConfig()
+			if err != nil {
+				return nil, err
+			}
+			cfg = &c
 		}
-		tr, err = core.NewTracker(sc.Net, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rng := sc.RNG(1)
-		step = func(k int) (mathx.Vec2, int, bool, int) {
-			lastStep = tr.Step(sc.Observations(k), rng)
-			return lastStep.Estimate, k - 1, lastStep.EstimateValid && k >= 1, lastStep.Holders
-		}
+		tr, err = core.NewTracker(sc.Net, *cfg)
+		rng = sc.RNG(1)
 	case "cpf":
-		c, err := baseline.NewCPF(sc.Net, baseline.DefaultCPFConfig())
-		if err != nil {
-			return nil, err
-		}
-		rng := sc.RNG(2)
-		step = func(k int) (mathx.Vec2, int, bool, int) {
-			est, ok := c.Step(sc.Observations(k), rng)
-			return est, k, ok, -1
-		}
+		base, err = baseline.NewCPF(sc.Net, baseline.DefaultCPFConfig())
+		rng = sc.RNG(2)
 	case "sdpf":
-		s, err := baseline.NewSDPF(sc.Net, baseline.DefaultSDPFConfig())
-		if err != nil {
-			return nil, err
-		}
-		rng := sc.RNG(3)
-		step = func(k int) (mathx.Vec2, int, bool, int) {
-			est, ok := s.Step(sc.Observations(k), rng)
-			return est, k, ok, -1
-		}
+		base, err = baseline.NewSDPF(sc.Net, baseline.DefaultSDPFConfig())
+		rng = sc.RNG(3)
 	case "dpf":
-		d, err := baseline.NewDPF(sc.Net, baseline.DefaultDPFConfig())
-		if err != nil {
-			return nil, err
-		}
-		rng := sc.RNG(4)
-		step = func(k int) (mathx.Vec2, int, bool, int) {
-			est, ok := d.Step(sc.Observations(k), rng)
-			return est, k, ok, -1
-		}
+		base, err = baseline.NewDPF(sc.Net, baseline.DefaultDPFConfig())
+		rng = sc.RNG(4)
 	case "ekf":
-		e, err := baseline.NewEKFTracker(sc.Net, baseline.DefaultEKFConfig())
-		if err != nil {
-			return nil, err
-		}
-		rng := sc.RNG(5)
-		step = func(k int) (mathx.Vec2, int, bool, int) {
-			est, ok := e.Step(sc.Observations(k), rng)
-			return est, k, ok, -1
-		}
+		base, err = baseline.NewEKFTracker(sc.Net, baseline.DefaultEKFConfig())
+		rng = sc.RNG(5)
 	default:
 		return nil, fmt.Errorf("experiments: unknown algorithm %q", ax.Algo)
 	}
+	if err != nil {
+		return nil, err
+	}
 
 	// Duty-cycled cells run the energy model and the TDSS scheduler; the
-	// duty-cycle phase stream is sc.RNG(50), as in DutyCycleEnergy.
+	// duty-cycle phase stream is sc.RNG(50).
 	var scheduler *sched.Scheduler
 	if ax.Duty > 0 {
 		sc.Net.Energy = wsn.DefaultEnergyModel()
@@ -190,13 +177,16 @@ func RunCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 		scheduler = sched.NewScheduler(sc.Net, dc)
 	}
 	// Mobile cells drift every node before each iteration from the
-	// dedicated stream sc.RNG(60), as in MobilitySweep.
+	// dedicated stream sc.RNG(60).
 	var driftRNG *mathx.RNG
 	if ax.Mobility > 0 {
 		driftRNG = sc.RNG(60)
 	}
 
-	rec := trace.New(ax.Algo, ax.Density, ax.Seed)
+	out.Trace = trace.Recorder{
+		Algo: ax.Algo, Density: ax.Density, Seed: ax.Seed,
+		Records: make([]trace.Record, 0, sc.Iterations()),
+	}
 	valid := make([]bool, sc.Iterations())
 	awakeSum := 0.0
 	for k := 0; k < sc.Iterations(); k++ {
@@ -223,14 +213,25 @@ func RunCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 			sc.Net.ApplyDrift(ax.Mobility, driftRNG)
 		}
 		before := sc.Net.Stats.Snapshot()
-		detectors := len(sc.DetectingNodes(k))
-		est, forK, ok, holders := step(k)
+		obs := sc.Observations(k)
+		// The estimate is for iteration forK; holders is -1 when the
+		// algorithm has no notion of particle-holding nodes.
+		var est mathx.Vec2
+		var ok bool
+		forK, holders := k, -1
+		if tr != nil {
+			lastStep = tr.Step(obs, rng)
+			// CDPF's correction step estimates the previous iteration.
+			est, ok, forK, holders = lastStep.Estimate, lastStep.EstimateValid && k >= 1, k-1, lastStep.Holders
+		} else {
+			est, ok = base.Step(obs, rng)
+		}
 		valid[k] = ok
 		d := sc.Net.Stats.Diff(before)
 		r := trace.Record{
 			K: k, Time: now,
 			TruthX: sc.Truth(k).X, TruthY: sc.Truth(k).Y,
-			Detectors: detectors, Holders: holders,
+			Detectors: len(obs), Holders: holders,
 			MsgsDelta: d.TotalMsgs(), BytesDelta: d.TotalBytes(),
 		}
 		if ok && forK >= 0 {
@@ -238,7 +239,7 @@ func RunCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 			res.Errors = append(res.Errors, e)
 			r.HaveEst, r.EstForK, r.EstX, r.EstY, r.Err = true, forK, est.X, est.Y, e
 		}
-		rec.Add(r)
+		out.Trace.Add(r)
 		if scheduler != nil {
 			// Idle/sleep energy for this filter period.
 			for _, nd := range sc.Net.Nodes {
@@ -270,7 +271,6 @@ func RunCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 		out.AwakeShare = awakeSum / float64(sc.Iterations())
 	}
 	out.DownAtEnd = faults.DownCount()
-	out.Trace = rec
 	out.Result = res
 	return out, nil
 }
@@ -319,7 +319,7 @@ func runMultiCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 		Seed:       ax.Seed,
 		Iterations: sc.Iterations(),
 	}
-	rec := trace.New(ax.Algo, ax.Density, ax.Seed)
+	out.Trace = trace.Recorder{Algo: ax.Algo, Density: ax.Density, Seed: ax.Seed}
 	var trackSum, iters float64
 	var prev []mathx.Vec2
 	valid := make([]bool, sc.Iterations())
@@ -366,7 +366,7 @@ func runMultiCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 		}
 		d := sc.Net.Stats.Diff(before)
 		r.MsgsDelta, r.BytesDelta = d.TotalMsgs(), d.TotalBytes()
-		rec.Add(r)
+		out.Trace.Add(r)
 		prev = append(prev[:0], positions...)
 		for i := range positions {
 			positions[i] = positions[i].Add(vel.Scale(sc.P.Dt))
@@ -376,7 +376,6 @@ func runMultiCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 	res.Comm = sc.Net.Stats.Snapshot()
 	res.Energy = sc.Net.TotalEnergy()
 	out.MeanLiveTracks = trackSum / iters
-	out.Trace = rec
 	out.Result = res
 	return out, nil
 }

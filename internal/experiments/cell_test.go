@@ -4,171 +4,8 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/scenario"
-	"repro/internal/sensorfault"
 	"repro/internal/spec"
 )
-
-// These tests pin the spec cell engine to the per-experiment runners it
-// subsumes: a single-axis cell must reproduce the corresponding legacy
-// runner's numbers exactly, because both are pure functions of the same
-// seeds and the cell engine claims the same RNG wiring.
-
-func sameErrors(t *testing.T, got, want []float64, label string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d errors vs %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: error %d = %v, want %v", label, i, got[i], want[i])
-		}
-	}
-}
-
-func TestRunCellMatchesRunOnce(t *testing.T) {
-	for _, algo := range []Algo{AlgoCDPF, AlgoCDPFNE, AlgoCPF, AlgoSDPF, AlgoDPF} {
-		out, err := RunCell(context.Background(), spec.Axes{Algo: string(algo), Density: 10, Seed: 62})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := RunOnce(scenario.Default(10, 62), algo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameErrors(t, out.Result.Errors, want.Errors, string(algo))
-		if out.Result.Comm != want.Comm {
-			t.Fatalf("%s: comm %+v vs %+v", algo, out.Result.Comm, want.Comm)
-		}
-		if out.Result.Energy != want.Energy {
-			t.Fatalf("%s: energy %v vs %v", algo, out.Result.Energy, want.Energy)
-		}
-	}
-}
-
-func TestRunCellMatchesResilience(t *testing.T) {
-	for _, algo := range AllAlgos() {
-		out, err := RunCell(context.Background(), spec.Axes{
-			Algo: string(algo), Density: 10, Seed: 93,
-			Loss: 0.3, Burst: ResilienceBurstLen, FailFrac: 0.2,
-			Hardened: "on",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := scenario.Build(scenario.Default(10, 93))
-		if err != nil {
-			t.Fatal(err)
-		}
-		setLoss(sc, 0.3, ResilienceBurstLen)
-		want, err := runResilient(sc, algo, resilienceFaults(sc, 0.2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameErrors(t, out.Result.Errors, want.Errors, string(algo))
-		if out.Result.Comm != want.Comm {
-			t.Fatalf("%s: comm mismatch", algo)
-		}
-		if out.Result.LossEpisodes != want.LossEpisodes ||
-			out.Result.LockedFrac != want.LockedFrac ||
-			len(out.Result.ReacquireIters) != len(want.ReacquireIters) {
-			t.Fatalf("%s: track-loss accounting %v/%v/%v vs %v/%v/%v", algo,
-				out.Result.LossEpisodes, out.Result.LockedFrac, out.Result.ReacquireIters,
-				want.LossEpisodes, want.LockedFrac, want.ReacquireIters)
-		}
-	}
-}
-
-func TestRunCellMatchesSensorFault(t *testing.T) {
-	for _, defended := range []bool{false, true} {
-		out, err := RunCell(context.Background(), spec.Axes{
-			Algo: "cdpf", Density: 10, Seed: 31,
-			SensorFault: "drift", SensorFaultFrac: 0.2, Defend: defended,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := scenario.Default(10, 31)
-		p.SensorFault = sensorfault.Plan{Kind: sensorfault.Drift, Fraction: 0.2}
-		sc, err := scenario.Build(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := core.DefaultConfig(false)
-		if defended {
-			cfg = core.HardenedSensingConfig(false)
-		}
-		want, err := runSensorFault(sc, cfg, sensorFaultAlgo(defended, sensorfault.Drift))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameErrors(t, out.Result.Errors, want.Errors, "sensorfault")
-		if out.Result.Comm != want.Comm {
-			t.Fatal("sensorfault: comm mismatch")
-		}
-		if defended {
-			if !out.Result.QuarantineTracked ||
-				out.Result.GatedTerms != want.GatedTerms ||
-				out.Result.QuarantineEvictions != want.QuarantineEvictions ||
-				!sameNaN(out.Result.QuarantinePrecision, want.QuarantinePrecision) ||
-				!sameNaN(out.Result.QuarantineRecall, want.QuarantineRecall) {
-				t.Fatalf("defended quarantine accounting mismatch: %+v vs %+v", out.Result, want)
-			}
-		}
-	}
-}
-
-func sameNaN(a, b float64) bool { return a == b || (a != a && b != b) }
-
-func TestRunCellMatchesMobility(t *testing.T) {
-	out, err := RunCell(context.Background(), spec.Axes{
-		Algo: "cdpf-ne", Density: 10, Seed: 62, Mobility: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := MobilitySweep(10, []float64{0.5}, []uint64{62})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MobilitySweep returns cdpf then cdpf-ne rows for the sigma.
-	sameErrors(t, out.Result.Errors, want[1].Errors, "mobility")
-	if out.Result.Comm != want[1].Comm {
-		t.Fatal("mobility: comm mismatch")
-	}
-}
-
-func TestRunCellMatchesDutyCycle(t *testing.T) {
-	out, err := RunCell(context.Background(), spec.Axes{
-		Algo: "cdpf", Density: 20, Seed: 31, Duty: 0.3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := DutyCycleEnergy(20, 31, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	duty := rows[1]
-	if got := mustRMSE(out); got != duty.RMSE {
-		t.Fatalf("duty RMSE %v vs %v", got, duty.RMSE)
-	}
-	if len(out.Result.Errors) != duty.Estimates {
-		t.Fatalf("duty estimates %d vs %d", len(out.Result.Errors), duty.Estimates)
-	}
-	if out.Result.Comm.TotalBytes() != duty.Bytes {
-		t.Fatalf("duty bytes %d vs %d", out.Result.Comm.TotalBytes(), duty.Bytes)
-	}
-	if out.Result.Energy/1e6 != duty.EnergyJ {
-		t.Fatalf("duty energy %v vs %v", out.Result.Energy/1e6, duty.EnergyJ)
-	}
-	if out.AwakeShare != duty.AwakeShare {
-		t.Fatalf("duty awake share %v vs %v", out.AwakeShare, duty.AwakeShare)
-	}
-}
-
-func mustRMSE(out *CellOutcome) float64 { return out.Result.RMSE() }
 
 func TestRunCellMultiTargetTrace(t *testing.T) {
 	out, err := RunCell(context.Background(), spec.Axes{Algo: "cdpf", Density: 20, Seed: 31, Targets: 3})

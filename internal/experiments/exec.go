@@ -2,19 +2,20 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
-	"repro/internal/scenario"
+	"repro/internal/spec"
 )
 
 // Exec carries the execution policy for the experiment sweeps: how many
-// fleet workers run the independent (density, seed, algorithm) cells, and an
-// optional progress observer. The zero value — and Workers == 1 — selects
-// the legacy serial path (plain in-order loop, no goroutines). Any worker
-// count produces bit-identical results: every cell is a pure function of its
-// parameters, and the fleet delivers results in submission order.
+// fleet workers run the independent cells, and an optional progress
+// observer. The zero value — and Workers == 1 — runs one cell at a time.
+// Any worker count produces bit-identical results: every cell is a pure
+// function of its axes, and the fleet delivers results in submission order.
 type Exec struct {
 	// Workers is the fleet worker count; <= 1 runs serially.
 	Workers int
@@ -26,10 +27,6 @@ type Exec struct {
 	Ctx context.Context
 }
 
-// Serial is the legacy single-goroutine execution policy. The package-level
-// sweep functions delegate to it.
-var Serial = Exec{Workers: 1}
-
 // config builds the fleet configuration for a batch of total cells.
 func (e Exec) config(total int) fleet.Config {
 	w := e.Workers
@@ -39,19 +36,23 @@ func (e Exec) config(total int) fleet.Config {
 	return fleet.Config{Workers: w, Total: total, Observer: e.Observer}
 }
 
+// ctx returns the policy's cancellation context.
+func (e Exec) ctx() context.Context {
+	if e.Ctx == nil {
+		return context.Background()
+	}
+	return e.Ctx
+}
+
 // runCells executes one cell batch under the execution policy, preserving
 // cell order in the output.
 func runCells[J, T any](e Exec, cells []J, run func(J) (T, error)) ([]T, error) {
-	ctx := e.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return fleet.Map(ctx, e.config(len(cells)), cells,
+	return fleet.Map(e.ctx(), e.config(len(cells)), cells,
 		func(_ context.Context, c J) (T, error) { return run(c) })
 }
 
-// sweepCell carries the replay metadata every sweep grid point submits to
-// the fleet: a human-readable cell label and the scenario seed.
+// sweepCell carries the replay metadata a fleet job submits: a
+// human-readable cell label and the scenario seed.
 type sweepCell struct {
 	label string
 	seed  uint64
@@ -63,35 +64,77 @@ func (c sweepCell) FleetLabel() string { return c.label }
 // FleetSeed implements fleet.Described.
 func (c sweepCell) FleetSeed() uint64 { return c.seed }
 
-// runCell is one (density, algorithm, seed) cell of the Fig. 5/6 sweep.
-type runCell struct {
+// gridCell is one spec cell submitted by runGrid; its label is the axes as
+// written (a spec/v1 base that replays the cell).
+type gridCell struct {
 	sweepCell
-	density float64
-	algo    Algo
+	ax spec.Axes
 }
+
+// runGrid runs every cell of grid on the fleet through RunCell and returns
+// the outcomes in grid order. It is the one fan-out behind every
+// cell-shaped sweep. cfg, when non-nil, overrides the tracker config of
+// cdpf-family cells (see runCell).
+func (e Exec) runGrid(grid []spec.Axes, cfg *core.Config) ([]*CellOutcome, error) {
+	cells := make([]gridCell, len(grid))
+	for i, ax := range grid {
+		label, _ := json.Marshal(ax) // plain fields only: cannot fail
+		cells[i] = gridCell{sweepCell: sweepCell{label: string(label), seed: ax.Seed}, ax: ax}
+	}
+	// The fleet cancels the job context once any cell fails, so in-flight
+	// cells stop at their next step.
+	return fleet.Map(e.ctx(), e.config(len(cells)), cells, func(ctx context.Context, c gridCell) (*CellOutcome, error) {
+		out, err := runCell(ctx, c.ax, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: cell %s: %w", c.label, err)
+		}
+		return out, nil
+	})
+}
+
+// sweep runs grid through runGrid and returns the cells' metrics results,
+// each passed through relabel (nil keeps the raw axes) so the sweep's table
+// presenter can group them — typically by storing the swept axis in
+// Density.
+func (e Exec) sweep(grid []spec.Axes, relabel func(*metrics.RunResult, spec.Axes)) ([]metrics.RunResult, error) {
+	outs, err := e.runGrid(grid, nil)
+	if err != nil {
+		return nil, err
+	}
+	rs := make([]metrics.RunResult, len(outs))
+	for i, out := range outs {
+		rs[i] = out.Result
+		if relabel != nil {
+			relabel(&rs[i], out.Axes)
+		}
+	}
+	return rs, nil
+}
+
+// axisGrid builds the algos × seeds cells at each value of one swept axis,
+// in value-major, algo, then seed order; with sets the value and the fixed
+// axes (density at least) on each cell.
+func axisGrid(values []float64, algos []Algo, seeds []uint64, with func(*spec.Axes, float64)) []spec.Axes {
+	var grid []spec.Axes
+	for _, v := range values {
+		for _, algo := range algos {
+			for _, seed := range seeds {
+				ax := spec.Axes{Algo: string(algo), Seed: seed}
+				with(&ax, v)
+				grid = append(grid, ax)
+			}
+		}
+	}
+	return grid
+}
+
+// setDensity is the axisGrid setter for a density sweep.
+func setDensity(ax *spec.Axes, d float64) { ax.Density = d }
 
 // Sweep runs every (density, seed, algo) combination across the fleet and
 // returns the flat result list in the serial enumeration order
 // (density-major, algo, then seed), suitable for metrics.Summarize.
 func (e Exec) Sweep(densities []float64, seeds []uint64, algos []Algo) ([]metrics.RunResult, error) {
-	var cells []runCell
-	for _, d := range densities {
-		for _, algo := range algos {
-			for _, seed := range seeds {
-				cells = append(cells, runCell{
-					sweepCell: sweepCell{label: fmt.Sprintf("%s/d%g/s%d", algo, d, seed), seed: seed},
-					density:   d,
-					algo:      algo,
-				})
-			}
-		}
-	}
-	return runCells(e, cells, func(c runCell) (metrics.RunResult, error) {
-		r, err := RunOnce(scenario.Default(c.density, c.seed), c.algo)
-		if err != nil {
-			return metrics.RunResult{}, fmt.Errorf("experiments: %s at density %g seed %d: %w",
-				c.algo, c.density, c.seed, err)
-		}
-		return r, nil
-	})
+	grid := axisGrid(densities, algos, seeds, setDensity)
+	return e.sweep(grid, nil)
 }

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/scenario"
+	"repro/internal/spec"
 )
 
 func TestParseAlgo(t *testing.T) {
@@ -30,12 +31,22 @@ func TestSeeds(t *testing.T) {
 	}
 }
 
+// runCellResult runs one clean cell and returns its metrics result.
+func runCellResult(t *testing.T, algo Algo, density float64, seed uint64) metrics.RunResult {
+	t.Helper()
+	out, err := RunCell(context.Background(), spec.Axes{Algo: string(algo), Density: density, Seed: seed})
+	if err != nil {
+		t.Fatalf("%s: %v", algo, err)
+	}
+	return out.Result
+}
+
+// The TestRunOnce* tests keep their names from the retired single-run
+// entry point; they exercise RunCell's clean cells.
+
 func TestRunOnceAllAlgos(t *testing.T) {
 	for _, algo := range AllAlgos() {
-		r, err := RunOnce(scenario.Default(10, 31), algo)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
+		r := runCellResult(t, algo, 10, 31)
 		if r.Algo != string(algo) || r.Density != 10 || r.Seed != 31 {
 			t.Fatalf("%s: metadata %+v", algo, r)
 		}
@@ -52,16 +63,10 @@ func TestRunOnceAllAlgos(t *testing.T) {
 }
 
 func TestRunOnceDeterministic(t *testing.T) {
-	a, err := RunOnce(scenario.Default(10, 62), AlgoCDPF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOnce(scenario.Default(10, 62), AlgoCDPF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runCellResult(t, AlgoCDPF, 10, 62)
+	b := runCellResult(t, AlgoCDPF, 10, 62)
 	if a.RMSE() != b.RMSE() || a.Bytes() != b.Bytes() {
-		t.Fatal("RunOnce not deterministic")
+		t.Fatal("RunCell not deterministic")
 	}
 }
 
@@ -98,7 +103,7 @@ func TestFig4(t *testing.T) {
 }
 
 func TestSweepAndTables(t *testing.T) {
-	results, err := Sweep([]float64{5, 10}, Seeds(2), []Algo{AlgoCDPF, AlgoCDPFNE})
+	results, err := Exec{}.Sweep([]float64{5, 10}, Seeds(2), []Algo{AlgoCDPF, AlgoCDPFNE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +171,7 @@ func TestHeadlines(t *testing.T) {
 }
 
 func TestFailureSweep(t *testing.T) {
-	results, err := FailureSweep(20, []float64{0, 0.3}, Seeds(2))
+	results, err := Exec{}.FailureSweep(20, []float64{0, 0.3}, Seeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +192,7 @@ func TestFailureSweep(t *testing.T) {
 }
 
 func TestSleepSweep(t *testing.T) {
-	results, err := SleepSweep(20, []float64{0.2}, Seeds(1))
+	results, err := Exec{}.SleepSweep(20, []float64{0.2}, Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +229,7 @@ func TestDutyCycleEnergy(t *testing.T) {
 }
 
 func TestDesignAblation(t *testing.T) {
-	results, err := DesignAblation(20, Seeds(2))
+	results, err := Exec{}.DesignAblation(20, Seeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,26 +261,20 @@ func TestLatencyComparison(t *testing.T) {
 }
 
 func TestRunOnceDPF(t *testing.T) {
-	r, err := RunOnce(scenario.Default(10, 31), AlgoDPF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCellResult(t, AlgoDPF, 10, 31)
 	if len(r.Errors) < 5 {
 		t.Fatalf("DPF produced %d estimates", len(r.Errors))
 	}
 	// DPF's raw measurement traffic must be cheaper than CPF's (P < Dm),
 	// though the backward parameter exchange narrows the total gap.
-	c, err := RunOnce(scenario.Default(10, 31), AlgoCPF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := runCellResult(t, AlgoCPF, 10, 31)
 	if r.Bytes() >= c.Bytes() {
 		t.Fatalf("DPF bytes %d not below CPF %d", r.Bytes(), c.Bytes())
 	}
 }
 
 func TestTable1Empirical(t *testing.T) {
-	tbl, err := Table1Empirical(10, Seeds(1))
+	tbl, err := Exec{}.Table1Empirical(10, Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +290,7 @@ func TestTable1Empirical(t *testing.T) {
 }
 
 func TestLossSweep(t *testing.T) {
-	results, err := LossSweep(20, []float64{0, 0.3}, Seeds(2))
+	results, err := Exec{}.LossSweep(20, []float64{0, 0.3}, Seeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +354,7 @@ func TestAggregationComparison(t *testing.T) {
 }
 
 func TestMobilitySweep(t *testing.T) {
-	results, err := MobilitySweep(20, []float64{0, 1}, Seeds(2))
+	results, err := Exec{}.MobilitySweep(20, []float64{0, 1}, Seeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +373,7 @@ func TestMobilitySweep(t *testing.T) {
 }
 
 func TestMultiTargetExperiment(t *testing.T) {
-	tbl, err := MultiTargetExperiment(20, []int{1, 2}, Seeds(2))
+	tbl, err := Exec{}.MultiTargetExperiment(20, []int{1, 2}, Seeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +384,7 @@ func TestMultiTargetExperiment(t *testing.T) {
 
 func TestResilienceLossSweep(t *testing.T) {
 	rates := []float64{0, 0.5}
-	results, err := ResilienceLossSweep(20, rates, 0.2, ResilienceBurstLen, Seeds(1))
+	results, err := Exec{}.ResilienceLossSweep(20, rates, 0.2, ResilienceBurstLen, Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +432,7 @@ func TestResilienceLossSweep(t *testing.T) {
 
 func TestResilienceSweepDeterministic(t *testing.T) {
 	run := func() []metrics.RunResult {
-		results, err := ResilienceLossSweep(20, []float64{0.4}, 0.2, ResilienceBurstLen, Seeds(1))
+		results, err := Exec{}.ResilienceLossSweep(20, []float64{0.4}, 0.2, ResilienceBurstLen, Seeds(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +448,7 @@ func TestResilienceSweepDeterministic(t *testing.T) {
 }
 
 func TestResilienceFailSweep(t *testing.T) {
-	results, err := ResilienceFailSweep(20, []float64{0, 0.2}, ResilienceLossRate, ResilienceBurstLen, Seeds(1))
+	results, err := Exec{}.ResilienceFailSweep(20, []float64{0, 0.2}, ResilienceLossRate, ResilienceBurstLen, Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -8,31 +9,20 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
+	"repro/internal/spec"
 	"repro/internal/wsn"
 )
+
+// cdpfPair is the two CDPF variants the extension sweeps compare.
+var cdpfPair = []Algo{AlgoCDPF, AlgoCDPFNE}
 
 // FailureSweep runs CDPF and CDPF-NE under increasing random permanent node
 // failures (the paper's future-work item 1: "evaluate CDPF's tolerance to
 // uncertain factors"). It returns one RunResult per (fraction, algo, seed);
 // Density stores the failure fraction in percent for grouping.
-func FailureSweep(density float64, fracs []float64, seeds []uint64) ([]metrics.RunResult, error) {
-	var out []metrics.RunResult
-	for _, f := range fracs {
-		for _, algo := range []Algo{AlgoCDPF, AlgoCDPFNE} {
-			for _, seed := range seeds {
-				p := scenario.Default(density, seed)
-				p.FailFraction = f
-				r, err := RunOnce(p, algo)
-				if err != nil {
-					return nil, err
-				}
-				r.Density = 100 * f // group key: failure percentage
-				out = append(out, r)
-			}
-		}
-	}
-	return out, nil
+func (e Exec) FailureSweep(density float64, fracs []float64, seeds []uint64) ([]metrics.RunResult, error) {
+	grid := axisGrid(fracs, cdpfPair, seeds, func(ax *spec.Axes, f float64) { ax.Density, ax.Fail = density, f })
+	return e.sweep(grid, func(r *metrics.RunResult, ax spec.Axes) { r.Density = 100 * ax.Fail })
 }
 
 // FailureTable renders the failure sweep: RMSE per failure fraction.
@@ -46,50 +36,20 @@ func FailureTable(aggs []metrics.Aggregate) *report.Table {
 // SleepSweep is FailureSweep's sibling for unanticipated random sleeping
 // (nodes asleep for the whole run without any schedule the estimator could
 // anticipate — the adverse case for CDPF-NE identified in Section V-D).
-func SleepSweep(density float64, fracs []float64, seeds []uint64) ([]metrics.RunResult, error) {
-	var out []metrics.RunResult
-	for _, f := range fracs {
-		for _, algo := range []Algo{AlgoCDPF, AlgoCDPFNE} {
-			for _, seed := range seeds {
-				p := scenario.Default(density, seed)
-				p.SleepFraction = f
-				r, err := RunOnce(p, algo)
-				if err != nil {
-					return nil, err
-				}
-				r.Density = 100 * f
-				out = append(out, r)
-			}
-		}
-	}
-	return out, nil
+func (e Exec) SleepSweep(density float64, fracs []float64, seeds []uint64) ([]metrics.RunResult, error) {
+	grid := axisGrid(fracs, cdpfPair, seeds, func(ax *spec.Axes, f float64) { ax.Density, ax.Sleep = density, f })
+	return e.sweep(grid, func(r *metrics.RunResult, ax spec.Axes) { r.Density = 100 * ax.Sleep })
 }
 
 // LossSweep evaluates CDPF and SDPF under unreliable links: each delivery
-// independently fails with the given probabilities. The Density field of
-// the returned results stores the loss percentage for grouping.
-func LossSweep(density float64, rates []float64, seeds []uint64) ([]metrics.RunResult, error) {
-	var out []metrics.RunResult
-	for _, rate := range rates {
-		for _, algo := range []Algo{AlgoCDPF, AlgoSDPF} {
-			for _, seed := range seeds {
-				sc, err := scenario.Build(scenario.Default(density, seed))
-				if err != nil {
-					return nil, err
-				}
-				if rate > 0 {
-					sc.Net.SetLossRate(rate, seed^0xfeed)
-				}
-				r, err := runOn(sc, algo)
-				if err != nil {
-					return nil, err
-				}
-				r.Density = 100 * rate
-				out = append(out, r)
-			}
-		}
-	}
-	return out, nil
+// independently fails with the given probabilities, and CDPF runs as
+// shipped (no graceful-degradation hardening). The Density field of the
+// returned results stores the loss percentage for grouping.
+func (e Exec) LossSweep(density float64, rates []float64, seeds []uint64) ([]metrics.RunResult, error) {
+	grid := axisGrid(rates, []Algo{AlgoCDPF, AlgoSDPF}, seeds, func(ax *spec.Axes, rate float64) {
+		ax.Density, ax.Loss, ax.Hardened = density, rate, "off"
+	})
+	return e.sweep(grid, func(r *metrics.RunResult, ax spec.Axes) { r.Density = 100 * ax.Loss })
 }
 
 // LossTable renders the loss sweep: RMSE per loss rate.
@@ -107,38 +67,11 @@ func LossTable(aggs []metrics.Aggregate) *report.Table {
 // CDPF-NE's prerequisite); the residual degradation comes from particles
 // drifting under their host nodes. The Density field of the results stores
 // the drift sigma for grouping.
-func MobilitySweep(density float64, sigmas []float64, seeds []uint64) ([]metrics.RunResult, error) {
-	var out []metrics.RunResult
-	for _, sigma := range sigmas {
-		for _, algo := range []Algo{AlgoCDPF, AlgoCDPFNE} {
-			for _, seed := range seeds {
-				sc, err := scenario.Build(scenario.Default(density, seed))
-				if err != nil {
-					return nil, err
-				}
-				tr, err := core.NewTracker(sc.Net, core.DefaultConfig(algo == AlgoCDPFNE))
-				if err != nil {
-					return nil, err
-				}
-				rng := sc.RNG(1)
-				driftRNG := sc.RNG(60)
-				res := metrics.RunResult{
-					Algo: string(algo), Density: sigma, Seed: seed,
-					Iterations: sc.Iterations(),
-				}
-				for k := 0; k < sc.Iterations(); k++ {
-					sc.Net.ApplyDrift(sigma, driftRNG)
-					r := tr.Step(sc.Observations(k), rng)
-					if r.EstimateValid && k >= 1 {
-						res.Errors = append(res.Errors, r.Estimate.Dist(sc.Truth(k-1)))
-					}
-				}
-				res.Comm = sc.Net.Stats.Snapshot()
-				out = append(out, res)
-			}
-		}
-	}
-	return out, nil
+func (e Exec) MobilitySweep(density float64, sigmas []float64, seeds []uint64) ([]metrics.RunResult, error) {
+	grid := axisGrid(sigmas, cdpfPair, seeds, func(ax *spec.Axes, sigma float64) {
+		ax.Density, ax.Mobility = density, sigma
+	})
+	return e.sweep(grid, func(r *metrics.RunResult, ax spec.Axes) { r.Density = ax.Mobility })
 }
 
 // MobilityTable renders the mobility sweep.
@@ -162,82 +95,59 @@ type DutyCycleResult struct {
 // DutyCycleEnergy compares CDPF on an always-on network against a
 // duty-cycled network with TDSS-style proactive wake-up of the predicted
 // area (Section III-C): tracking quality should be preserved while idle
-// energy drops with the duty cycle.
+// energy drops with the duty cycle. The duty-cycled row is a duty cell.
 func DutyCycleEnergy(density float64, seed uint64, onFraction float64) ([]DutyCycleResult, error) {
-	run := func(duty bool) (DutyCycleResult, error) {
-		p := scenario.Default(density, seed)
-		sc, err := scenario.Build(p)
-		if err != nil {
-			return DutyCycleResult{}, err
-		}
-		sc.Net.Energy = wsn.DefaultEnergyModel()
-		var dc *sched.DutyCycle
-		if duty {
-			dc, err = sched.NewDutyCycle(sc.Net.Len(), 10, onFraction, sc.RNG(50))
-			if err != nil {
-				return DutyCycleResult{}, err
-			}
-		}
-		s := sched.NewScheduler(sc.Net, dc)
-		tr, err := core.NewTracker(sc.Net, core.DefaultConfig(false))
-		if err != nil {
-			return DutyCycleResult{}, err
-		}
-		rng := sc.RNG(1)
-		var errs []float64
-		awakeSum := 0.0
-		var lastRes core.StepResult
-		for k := 0; k < sc.Iterations(); k++ {
-			now := sc.Filter.Times[k]
-			s.Apply(now)
-			// TDSS proactive wake-up: a particle-holding node beacons the
-			// predicted area before the target arrives, so sleeping nodes
-			// there are awake in time to record particles and detect.
-			if duty && lastRes.PredictedValid {
-				beacon := wsn.NodeID(-1)
-				if hs := tr.Holders(); len(hs) > 0 {
-					beacon = hs[0]
-				}
-				wakeR := sc.Net.Cfg.SensingRadius + 3*p.Target.Speed*p.Dt/2
-				s.ProactiveWake(beacon, lastRes.Predicted, wakeR, now+p.Dt)
-			}
-			awakeSum += float64(s.AwakeCount()) / float64(sc.Net.Len())
-			lastRes = tr.Step(sc.Observations(k), rng)
-			if lastRes.EstimateValid && k >= 1 {
-				errs = append(errs, lastRes.Estimate.Dist(sc.Truth(k-1)))
-			}
-			// Idle/sleep energy for this filter period.
-			for _, nd := range sc.Net.Nodes {
-				switch nd.State {
-				case wsn.Awake:
-					nd.EnergyUsed += sc.Net.Energy.IdleCost(p.Dt)
-				case wsn.Asleep:
-					nd.EnergyUsed += sc.Net.Energy.SleepCost(p.Dt)
-				}
-			}
-		}
-		mode := "always-on"
-		if duty {
-			mode = fmt.Sprintf("duty-cycled %.0f%%+TDSS", 100*onFraction)
-		}
-		return DutyCycleResult{
-			Mode:       mode,
-			RMSE:       mathx.RMS(errs),
-			Estimates:  len(errs),
-			Bytes:      sc.Net.Stats.TotalBytes(),
-			EnergyJ:    sc.Net.TotalEnergy() / 1e6,
-			AwakeShare: awakeSum / float64(sc.Iterations()),
-		}, nil
-	}
-	always, err := run(false)
+	always, err := alwaysOnEnergy(density, seed)
 	if err != nil {
 		return nil, err
 	}
-	duty, err := run(true)
+	out, err := RunCell(context.Background(), spec.Axes{Algo: "cdpf", Density: density, Seed: seed, Duty: onFraction})
 	if err != nil {
 		return nil, err
+	}
+	duty := DutyCycleResult{
+		Mode:       fmt.Sprintf("duty-cycled %.0f%%+TDSS", 100*onFraction),
+		RMSE:       out.Result.RMSE(),
+		Estimates:  len(out.Result.Errors),
+		Bytes:      out.Result.Comm.TotalBytes(),
+		EnergyJ:    out.Result.Energy / 1e6,
+		AwakeShare: out.AwakeShare,
 	}
 	return []DutyCycleResult{always, duty}, nil
+}
+
+// alwaysOnEnergy is DutyCycleEnergy's baseline row: CDPF with every node
+// awake for the whole run and the energy model charging its idle time. It
+// is not a duty cell — a duty of 1 would add the TDSS wake-up beacons.
+func alwaysOnEnergy(density float64, seed uint64) (DutyCycleResult, error) {
+	sc, err := scenario.Build(scenario.Default(density, seed))
+	if err != nil {
+		return DutyCycleResult{}, err
+	}
+	sc.Net.Energy = wsn.DefaultEnergyModel()
+	tr, err := core.NewTracker(sc.Net, core.DefaultConfig(false))
+	if err != nil {
+		return DutyCycleResult{}, err
+	}
+	rng := sc.RNG(1)
+	var errs []float64
+	for k := 0; k < sc.Iterations(); k++ {
+		r := tr.Step(sc.Observations(k), rng)
+		if r.EstimateValid && k >= 1 {
+			errs = append(errs, r.Estimate.Dist(sc.Truth(k-1)))
+		}
+		for _, nd := range sc.Net.Nodes {
+			nd.EnergyUsed += sc.Net.Energy.IdleCost(sc.P.Dt)
+		}
+	}
+	return DutyCycleResult{
+		Mode:       "always-on",
+		RMSE:       mathx.RMS(errs),
+		Estimates:  len(errs),
+		Bytes:      sc.Net.Stats.TotalBytes(),
+		EnergyJ:    sc.Net.TotalEnergy() / 1e6,
+		AwakeShare: 1,
+	}, nil
 }
 
 // DutyCycleTable renders the energy comparison.
@@ -259,58 +169,39 @@ type AblationResult struct {
 
 // DesignAblation evaluates the CDPF design choices DESIGN.md calls out:
 // shared vs per-particle predicted areas, velocity smoothing, the
-// quantization-aware likelihood, and the NE detection boost.
-func DesignAblation(density float64, seeds []uint64) ([]AblationResult, error) {
-	type variant struct {
-		name string
-		cfg  func() core.Config
+// quantization-aware likelihood, and the NE detection boost. Each variant
+// runs the seeds as cells with its tracker config.
+func (e Exec) DesignAblation(density float64, seeds []uint64) ([]AblationResult, error) {
+	tweak := func(ne bool, edit func(*core.Config)) core.Config {
+		c := core.DefaultConfig(ne)
+		edit(&c)
+		return c
 	}
-	variants := []variant{
-		{"cdpf default (shared areas)", func() core.Config { return core.DefaultConfig(false) }},
-		{"cdpf per-particle areas", func() core.Config {
-			c := core.DefaultConfig(false)
-			c.PerParticleAreas = true
-			return c
-		}},
-		{"cdpf no velocity smoothing", func() core.Config {
-			c := core.DefaultConfig(false)
-			c.VelSmoothing = -1
-			return c
-		}},
-		{"cdpf no quantization sigma", func() core.Config {
-			c := core.DefaultConfig(false)
-			c.QuantSigma = -1
-			return c
-		}},
-		{"cdpf-ne default (boost on)", func() core.Config { return core.DefaultConfig(true) }},
-		{"cdpf-ne no detection boost", func() core.Config {
-			c := core.DefaultConfig(true)
-			c.NEDetectBoost = 1
-			return c
-		}},
+	variants := []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"cdpf default (shared areas)", core.DefaultConfig(false)},
+		{"cdpf per-particle areas", tweak(false, func(c *core.Config) { c.PerParticleAreas = true })},
+		{"cdpf no velocity smoothing", tweak(false, func(c *core.Config) { c.VelSmoothing = -1 })},
+		{"cdpf no quantization sigma", tweak(false, func(c *core.Config) { c.QuantSigma = -1 })},
+		{"cdpf-ne default (boost on)", core.DefaultConfig(true)},
+		{"cdpf-ne no detection boost", tweak(true, func(c *core.Config) { c.NEDetectBoost = 1 })},
 	}
 	var out []AblationResult
 	for _, v := range variants {
+		algo := AlgoCDPF
+		if v.cfg.UseNE {
+			algo = AlgoCDPFNE
+		}
+		outs, err := e.runGrid(axisGrid([]float64{density}, []Algo{algo}, seeds, setDensity), &v.cfg)
+		if err != nil {
+			return nil, err
+		}
 		var rmses, bts []float64
-		for _, seed := range seeds {
-			sc, err := scenario.Build(scenario.Default(density, seed))
-			if err != nil {
-				return nil, err
-			}
-			tr, err := core.NewTracker(sc.Net, v.cfg())
-			if err != nil {
-				return nil, err
-			}
-			rng := sc.RNG(1)
-			var errs []float64
-			for k := 0; k < sc.Iterations(); k++ {
-				r := tr.Step(sc.Observations(k), rng)
-				if r.EstimateValid && k >= 1 {
-					errs = append(errs, r.Estimate.Dist(sc.Truth(k-1)))
-				}
-			}
-			rmses = append(rmses, mathx.RMS(errs))
-			bts = append(bts, float64(sc.Net.Stats.TotalBytes()))
+		for _, o := range outs {
+			rmses = append(rmses, o.Result.RMSE())
+			bts = append(bts, float64(o.Result.Comm.TotalBytes()))
 		}
 		out = append(out, AblationResult{
 			Variant: v.name,

@@ -1,16 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/spec"
 )
 
 // TrackPoint is one time sample of the Fig. 4 estimation example.
@@ -24,47 +25,33 @@ type TrackPoint struct {
 }
 
 // Fig4 reproduces the estimation example of Fig. 4: the true trajectory and
-// the CDPF / CDPF-NE estimates at the given density (paper: 20 per 100 m²).
-// Estimates for iteration k are produced by the correction step at k+1, so
-// the last iteration has no estimate.
+// the CDPF / CDPF-NE estimates at the given density (paper: 20 per 100 m²),
+// read from the traces of one cdpf and one cdpf-ne cell. Estimates for
+// iteration k are produced by the correction step at k+1, so the last
+// iteration has no estimate.
 func Fig4(density float64, seed uint64) ([]TrackPoint, error) {
-	buildTrack := func(useNE bool) (map[int]mathx.Vec2, *scenario.Scenario, error) {
-		sc, err := scenario.Build(scenario.Default(density, seed))
-		if err != nil {
-			return nil, nil, err
-		}
-		tr, err := core.NewTracker(sc.Net, core.DefaultConfig(useNE))
-		if err != nil {
-			return nil, nil, err
-		}
-		rng := sc.RNG(1)
-		est := map[int]mathx.Vec2{}
-		for k := 0; k < sc.Iterations(); k++ {
-			r := tr.Step(sc.Observations(k), rng)
-			if r.EstimateValid && k >= 1 {
-				est[k-1] = r.Estimate
-			}
-		}
-		return est, sc, nil
-	}
-	cd, sc, err := buildTrack(false)
+	outs, err := Exec{}.runGrid([]spec.Axes{
+		{Algo: string(AlgoCDPF), Density: density, Seed: seed},
+		{Algo: string(AlgoCDPFNE), Density: density, Seed: seed},
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	ne, _, err := buildTrack(true)
-	if err != nil {
-		return nil, err
+	cd, ne := outs[0].Trace.Records, outs[1].Trace.Records
+	out := make([]TrackPoint, len(cd))
+	for k, r := range cd {
+		out[k] = TrackPoint{K: k, Truth: mathx.V2(r.TruthX, r.TruthY)}
 	}
-	var out []TrackPoint
-	for k := 0; k < sc.Iterations(); k++ {
-		p := TrackPoint{K: k, Truth: sc.Truth(k)}
-		if e, ok := cd[k]; ok {
-			p.CDPF, p.HaveC = e, true
+	// Each record carries the estimate for iteration EstForK (k-1).
+	for _, r := range cd {
+		if r.HaveEst {
+			out[r.EstForK].CDPF, out[r.EstForK].HaveC = mathx.V2(r.EstX, r.EstY), true
 		}
-		if e, ok := ne[k]; ok {
-			p.CDPFNE, p.HaveNE = e, true
+	}
+	for _, r := range ne {
+		if r.HaveEst {
+			out[r.EstForK].CDPFNE, out[r.EstForK].HaveNE = mathx.V2(r.EstX, r.EstY), true
 		}
-		out = append(out, p)
 	}
 	return out, nil
 }
@@ -201,19 +188,16 @@ func Table1(density float64, seed uint64) (*report.Table, Table1Measured, error)
 	sink := sc.Net.NearestNode(sc.Net.Center())
 	hmax := sc.Net.BuildHopTable(sink).MaxHops()
 
-	tr, err := core.NewTracker(sc.Net, core.DefaultConfig(false))
+	out, err := RunCell(context.Background(), spec.Axes{Algo: string(AlgoCDPF), Density: density, Seed: seed})
 	if err != nil {
 		return nil, Table1Measured{}, err
 	}
-	rng := sc.RNG(1)
-	var holderSum, detSum, iters float64
-	for k := 0; k < sc.Iterations(); k++ {
-		obs := sc.Observations(k)
-		r := tr.Step(obs, rng)
+	var holderSum, detSum float64
+	for _, r := range out.Trace.Records {
 		holderSum += float64(r.Holders)
-		detSum += float64(len(obs))
-		iters++
+		detSum += float64(r.Detectors)
 	}
+	iters := float64(out.Trace.Len())
 	meas := Table1Measured{
 		MeanHolders:   holderSum / iters,
 		MeanDetectors: detSum / iters,
@@ -241,53 +225,53 @@ func Table1(density float64, seed uint64) (*report.Table, Table1Measured, error)
 // its full particle budget while CDPF combines to one per node) and reports
 // the simulated mean bytes per iteration next to it. The analytical CPF/DPF
 // rows use H_max and are therefore upper bounds; the simulator routes over
-// actual per-node hop counts. Both the N_s probes and the simulated rows
-// average over all seeds; the probe runs and the per-algorithm runs fan out
-// across the execution policy.
+// actual per-node hop counts. The simulated rows are one cell per
+// (algorithm, seed); CDPF's and CDPF-NE's N_s come from those cells'
+// traces, SDPF's from a budget probe per seed, each averaged over every
+// seed.
 func (e Exec) Table1Empirical(density float64, seeds []uint64) (*report.Table, error) {
 	_, meas, err := Table1(density, seeds[0])
 	if err != nil {
 		return nil, err
 	}
 
-	// Per-algorithm N_s, each probe averaged over every seed (matching the
-	// seed-averaged simulated rows): CDPF and CDPF-NE holder counts, and
-	// SDPF's particle budget.
-	type probeCell struct {
-		sweepCell
-		kind Algo
-	}
-	probeKinds := []Algo{AlgoCDPF, AlgoCDPFNE, AlgoSDPF}
-	var probes []probeCell
-	for _, kind := range probeKinds {
-		for _, seed := range seeds {
-			probes = append(probes, probeCell{
-				sweepCell: sweepCell{label: fmt.Sprintf("table1-probe/%s/s%d", kind, seed), seed: seed},
-				kind:      kind,
-			})
-		}
-	}
-	probeVals, err := runCells(e, probes, func(c probeCell) (int, error) {
-		switch c.kind {
-		case AlgoCDPF:
-			return meanHolders(density, c.seed, false)
-		case AlgoCDPFNE:
-			return meanHolders(density, c.seed, true)
-		default:
-			return sdpfBudget(density, c.seed)
-		}
-	})
+	algos := AllAlgosExtended()
+	grid := axisGrid([]float64{density}, algos, seeds, setDensity)
+	outs, err := e.runGrid(grid, nil)
 	if err != nil {
 		return nil, err
 	}
-	probeMean := func(group int) int {
+	budgets, err := runCells(e, seeds, func(seed uint64) (int, error) { return sdpfBudget(density, seed) })
+	if err != nil {
+		return nil, err
+	}
+	// byAlgo holds each algorithm's cells, one per seed.
+	byAlgo := make(map[Algo][]*CellOutcome, len(algos))
+	for i, algo := range algos {
+		byAlgo[algo] = outs[i*len(seeds) : (i+1)*len(seeds)]
+	}
+	// seedMean rounds the mean of the per-seed values.
+	seedMean := func(vals []int) int {
 		var sum float64
-		for _, v := range probeVals[group*len(seeds) : (group+1)*len(seeds)] {
+		for _, v := range vals {
 			sum += float64(v)
 		}
-		return int(math.Round(sum / float64(len(seeds))))
+		return int(math.Round(sum / float64(len(vals))))
 	}
-	cdpfNs, neNs, sdpfNs := probeMean(0), probeMean(1), probeMean(2)
+	// holderNs is a CDPF variant's N_s: each seed's mean holder count,
+	// rounded, then averaged over the seeds.
+	holderNs := func(algo Algo) int {
+		var perSeed []int
+		for _, o := range byAlgo[algo] {
+			var sum float64
+			for _, r := range o.Trace.Records {
+				sum += float64(r.Holders)
+			}
+			perSeed = append(perSeed, int(math.Round(sum/float64(o.Trace.Len()))))
+		}
+		return seedMean(perSeed)
+	}
+	cdpfNs, neNs, sdpfNs := holderNs(AlgoCDPF), holderNs(AlgoCDPFNE), seedMean(budgets)
 
 	perAlgo := func(ns int) costmodel.Params {
 		p := meas.Params
@@ -302,65 +286,22 @@ func (e Exec) Table1Empirical(density float64, seeds []uint64) (*report.Table, e
 		AlgoCDPFNE: perAlgo(neNs).CDPFNE(),
 	}
 
-	// The simulated rows: one run per (algorithm, seed), seed-averaged.
-	var runs []runCell
-	for _, algo := range AllAlgosExtended() {
-		for _, seed := range seeds {
-			runs = append(runs, runCell{
-				sweepCell: sweepCell{label: fmt.Sprintf("table1/%s/d%g/s%d", algo, density, seed), seed: seed},
-				density:   density,
-				algo:      algo,
-			})
-		}
-	}
-	results, err := runCells(e, runs, func(c runCell) (metrics.RunResult, error) {
-		return RunOnce(scenario.Default(c.density, c.seed), c.algo)
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	t := report.NewTable(
 		fmt.Sprintf("Table I validation — analytical vs simulated bytes/iteration (density %g; Ns: sdpf=%d, cdpf=%d, cdpf-ne=%d; CPF/DPF rows use Hmax=%d, an upper bound)",
 			density, sdpfNs, cdpfNs, neNs, meas.Params.Hmax),
 		"method", "analytical", "simulated", "ratio")
-	for i, algo := range AllAlgosExtended() {
+	for _, algo := range algos {
 		var total float64
 		var iters float64
-		for _, r := range results[i*len(seeds) : (i+1)*len(seeds)] {
-			total += float64(r.Bytes())
-			iters += float64(r.Iterations)
+		for _, o := range byAlgo[algo] {
+			total += float64(o.Result.Bytes())
+			iters += float64(o.Result.Iterations)
 		}
 		simulated := total / iters
 		ratio := simulated / float64(analytical[algo])
 		t.AddRow(string(algo), analytical[algo], simulated, ratio)
 	}
 	return t, nil
-}
-
-// Table1Empirical is the serial form of Exec.Table1Empirical.
-func Table1Empirical(density float64, seeds []uint64) (*report.Table, error) {
-	return Serial.Table1Empirical(density, seeds)
-}
-
-// meanHolders measures the mean particle-holder count of a CDPF(-NE) run.
-func meanHolders(density float64, seed uint64, useNE bool) (int, error) {
-	sc, err := scenario.Build(scenario.Default(density, seed))
-	if err != nil {
-		return 0, err
-	}
-	tr, err := core.NewTracker(sc.Net, core.DefaultConfig(useNE))
-	if err != nil {
-		return 0, err
-	}
-	rng := sc.RNG(1)
-	var sum, iters float64
-	for k := 0; k < sc.Iterations(); k++ {
-		r := tr.Step(sc.Observations(k), rng)
-		sum += float64(r.Holders)
-		iters++
-	}
-	return int(math.Round(sum / iters)), nil
 }
 
 // sdpfBudget measures SDPF's particle budget after initialization.

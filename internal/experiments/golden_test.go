@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
 
-	"repro/internal/scenario"
+	"repro/internal/spec"
 )
 
 // TestGoldenDeterminism pins the end-to-end behavior of the whole pipeline:
@@ -17,12 +18,20 @@ import (
 // behavior (go test ./... and cmd/benchtab shapes) and update the expected
 // fingerprints below.
 func TestGoldenDeterminism(t *testing.T) {
+	want := map[Algo]string{
+		AlgoCPF:    "a04ee687f79e1b20",
+		AlgoDPF:    "f32f813d3dfa3851",
+		AlgoSDPF:   "73b678edd24f7dce",
+		AlgoCDPF:   "247b4bd770c3c3e2",
+		AlgoCDPFNE: "e7976f36023ed3a5",
+	}
 	fingerprint := func(algo Algo) string {
 		h := fnv.New64a()
-		r, err := RunOnce(scenario.Default(10, 31), algo)
+		out, err := RunCell(context.Background(), spec.Axes{Algo: string(algo), Density: 10, Seed: 31})
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := out.Result
 		for _, e := range r.Errors {
 			fmt.Fprintf(h, "%.9f;", e)
 		}
@@ -35,6 +44,8 @@ func TestGoldenDeterminism(t *testing.T) {
 		if a != b {
 			t.Fatalf("%s: non-deterministic fingerprint %s vs %s", algo, a, b)
 		}
-		t.Logf("%s fingerprint: %s", algo, a)
+		if a != want[algo] {
+			t.Errorf("%s: fingerprint %s, want %s", algo, a, want[algo])
+		}
 	}
 }

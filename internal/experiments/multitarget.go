@@ -59,11 +59,6 @@ func (e Exec) MultiTargetExperiment(density float64, targetCounts []int, seeds [
 	return t, nil
 }
 
-// MultiTargetExperiment is the serial form of Exec.MultiTargetExperiment.
-func MultiTargetExperiment(density float64, targetCounts []int, seeds []uint64) (*report.Table, error) {
-	return Serial.MultiTargetExperiment(density, targetCounts, seeds)
-}
-
 // multiRun runs one multi-target scenario: n targets on horizontal lanes
 // spaced across the field, all moving east at the paper's speed. It is a
 // thin view over the spec cell engine (see runMultiCell), which owns the

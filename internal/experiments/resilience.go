@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/scenario"
-	"repro/internal/wsn"
+	"repro/internal/spec"
 )
 
 // The resilience benchmark: the repo's first quantitative robustness study.
@@ -41,188 +37,25 @@ func ResilienceLossRates() []float64 { return []float64{0, 0.1, 0.2, 0.3, 0.4, 0
 // ResilienceFailFracs returns the benchmark's failed-fraction grid.
 func ResilienceFailFracs() []float64 { return []float64{0, 0.1, 0.2, 0.3, 0.4} }
 
-// resilienceFaults builds the benchmark's fault script for one scenario:
-// frac of the nodes fail-stop at the mid-run filter time. Victims are a
-// deterministic function of the scenario seed, so every algorithm faces the
-// same failures.
-func resilienceFaults(sc *scenario.Scenario, frac float64) *wsn.FaultSchedule {
-	fs := wsn.NewFaultSchedule()
-	if frac > 0 {
-		mid := sc.Filter.Times[sc.Iterations()/2]
-		fs.FailStopAt(mid, wsn.RandomNodes(sc.Net, frac, sc.RNG(70)))
-	}
-	return fs
-}
-
-// setLoss configures the scenario's link-loss process.
-func setLoss(sc *scenario.Scenario, rate, burstLen float64) {
-	if rate <= 0 {
-		return
-	}
-	seed := sc.P.Seed ^ 0xfa117
-	if burstLen > 1 {
-		sc.Net.SetBurstLoss(rate, burstLen, seed)
-	} else {
-		sc.Net.SetLossRate(rate, seed)
-	}
-}
-
-// runResilient tracks one scenario with the given algorithm while replaying
-// the fault schedule before every filter iteration, and fills the track-loss
-// accounting fields of the result. CDPF variants run hardened
-// (core.ResilientConfig); the baselines run as shipped.
-func runResilient(sc *scenario.Scenario, algo Algo, faults *wsn.FaultSchedule) (metrics.RunResult, error) {
-	res := metrics.RunResult{
-		Algo:       string(algo),
-		Density:    sc.P.Density,
-		Seed:       sc.P.Seed,
-		Iterations: sc.Iterations(),
-	}
-	// step runs iteration k and reports the estimate, the iteration it is
-	// for, and its validity.
-	var step func(k int) (mathx.Vec2, int, bool)
-	switch algo {
-	case AlgoCDPF, AlgoCDPFNE:
-		tr, err := core.NewTracker(sc.Net, core.ResilientConfig(algo == AlgoCDPFNE))
-		if err != nil {
-			return res, err
-		}
-		rng := sc.RNG(1)
-		step = func(k int) (mathx.Vec2, int, bool) {
-			r := tr.Step(sc.Observations(k), rng)
-			return r.Estimate, k - 1, r.EstimateValid && k >= 1
-		}
-	case AlgoCPF:
-		c, err := baseline.NewCPF(sc.Net, baseline.DefaultCPFConfig())
-		if err != nil {
-			return res, err
-		}
-		rng := sc.RNG(2)
-		step = func(k int) (mathx.Vec2, int, bool) {
-			est, ok := c.Step(sc.Observations(k), rng)
-			return est, k, ok
-		}
-	case AlgoDPF:
-		d, err := baseline.NewDPF(sc.Net, baseline.DefaultDPFConfig())
-		if err != nil {
-			return res, err
-		}
-		rng := sc.RNG(4)
-		step = func(k int) (mathx.Vec2, int, bool) {
-			est, ok := d.Step(sc.Observations(k), rng)
-			return est, k, ok
-		}
-	case AlgoSDPF:
-		s, err := baseline.NewSDPF(sc.Net, baseline.DefaultSDPFConfig())
-		if err != nil {
-			return res, err
-		}
-		rng := sc.RNG(3)
-		step = func(k int) (mathx.Vec2, int, bool) {
-			est, ok := s.Step(sc.Observations(k), rng)
-			return est, k, ok
-		}
-	default:
-		return res, fmt.Errorf("experiments: unknown algorithm %q", algo)
-	}
-	valid := make([]bool, sc.Iterations())
-	for k := 0; k < sc.Iterations(); k++ {
-		if faults != nil {
-			faults.ApplyUntil(sc.Net, sc.Filter.Times[k])
-		}
-		est, forK, ok := step(k)
-		valid[k] = ok
-		if ok && forK >= 0 {
-			res.Errors = append(res.Errors, est.Dist(sc.Truth(forK)))
-		}
-	}
-	res.LossEpisodes, res.ReacquireIters, res.LockedFrac = metrics.TrackEpisodes(valid)
-	res.Comm = sc.Net.Stats.Snapshot()
-	res.Energy = sc.Net.TotalEnergy()
-	return res, nil
-}
-
-// resilienceCell is one (axis value, algorithm, seed) grid point of a
-// resilience sweep. Loss rate, burst length, and failed fraction fully
-// determine the fault environment, so the cell is a pure function of its
-// fields and can run on any fleet worker.
-type resilienceCell struct {
-	sweepCell
-	density  float64
-	algo     Algo
-	rate     float64
-	burstLen float64
-	failFrac float64
-	// axisValue is stored in the result's Density field for grouping
-	// (loss % or fail %).
-	axisValue float64
-}
-
-// resilienceSweep executes one resilience cell grid under the policy.
-func (e Exec) resilienceSweep(cells []resilienceCell) ([]metrics.RunResult, error) {
-	return runCells(e, cells, func(c resilienceCell) (metrics.RunResult, error) {
-		sc, err := scenario.Build(scenario.Default(c.density, c.seed))
-		if err != nil {
-			return metrics.RunResult{}, err
-		}
-		setLoss(sc, c.rate, c.burstLen)
-		r, err := runResilient(sc, c.algo, resilienceFaults(sc, c.failFrac))
-		if err != nil {
-			return metrics.RunResult{}, fmt.Errorf("experiments: %s seed %d: %w", c.label, c.seed, err)
-		}
-		r.Density = c.axisValue
-		return r, nil
-	})
-}
-
 // ResilienceLossSweep runs all four algorithms across the loss-rate grid
-// under bursty loss with failFrac of the nodes fail-stopping mid-run. The
-// Density field of the results stores the loss percentage for grouping.
+// under bursty loss with failFrac of the nodes fail-stopping mid-run, CDPF
+// variants hardened. The Density field of the results stores the loss
+// percentage for grouping.
 func (e Exec) ResilienceLossSweep(density float64, rates []float64, failFrac, burstLen float64, seeds []uint64) ([]metrics.RunResult, error) {
-	var cells []resilienceCell
-	for _, rate := range rates {
-		for _, algo := range AllAlgos() {
-			for _, seed := range seeds {
-				cells = append(cells, resilienceCell{
-					sweepCell: sweepCell{label: fmt.Sprintf("resilience/%s/loss%g/s%d", algo, rate, seed), seed: seed},
-					density:   density, algo: algo,
-					rate: rate, burstLen: burstLen, failFrac: failFrac,
-					axisValue: 100 * rate,
-				})
-			}
-		}
-	}
-	return e.resilienceSweep(cells)
-}
-
-// ResilienceLossSweep is the serial form of Exec.ResilienceLossSweep.
-func ResilienceLossSweep(density float64, rates []float64, failFrac, burstLen float64, seeds []uint64) ([]metrics.RunResult, error) {
-	return Serial.ResilienceLossSweep(density, rates, failFrac, burstLen, seeds)
+	grid := axisGrid(rates, AllAlgos(), seeds, func(ax *spec.Axes, rate float64) {
+		ax.Density, ax.Loss, ax.Burst, ax.FailFrac, ax.Hardened = density, rate, burstLen, failFrac, "on"
+	})
+	return e.sweep(grid, func(r *metrics.RunResult, ax spec.Axes) { r.Density = 100 * ax.Loss })
 }
 
 // ResilienceFailSweep runs all four algorithms across the failed-fraction
-// grid at a fixed bursty loss rate. The Density field of the results stores
-// the failed percentage for grouping.
+// grid at a fixed bursty loss rate, CDPF variants hardened. The Density
+// field of the results stores the failed percentage for grouping.
 func (e Exec) ResilienceFailSweep(density float64, fracs []float64, lossRate, burstLen float64, seeds []uint64) ([]metrics.RunResult, error) {
-	var cells []resilienceCell
-	for _, frac := range fracs {
-		for _, algo := range AllAlgos() {
-			for _, seed := range seeds {
-				cells = append(cells, resilienceCell{
-					sweepCell: sweepCell{label: fmt.Sprintf("resilience/%s/failfrac%g/s%d", algo, frac, seed), seed: seed},
-					density:   density, algo: algo,
-					rate: lossRate, burstLen: burstLen, failFrac: frac,
-					axisValue: 100 * frac,
-				})
-			}
-		}
-	}
-	return e.resilienceSweep(cells)
-}
-
-// ResilienceFailSweep is the serial form of Exec.ResilienceFailSweep.
-func ResilienceFailSweep(density float64, fracs []float64, lossRate, burstLen float64, seeds []uint64) ([]metrics.RunResult, error) {
-	return Serial.ResilienceFailSweep(density, fracs, lossRate, burstLen, seeds)
+	grid := axisGrid(fracs, AllAlgos(), seeds, func(ax *spec.Axes, frac float64) {
+		ax.Density, ax.Loss, ax.Burst, ax.FailFrac, ax.Hardened = density, lossRate, burstLen, frac, "on"
+	})
+	return e.sweep(grid, func(r *metrics.RunResult, ax spec.Axes) { r.Density = 100 * ax.FailFrac })
 }
 
 // ResilienceTables renders one resilience sweep as three tables: RMSE,

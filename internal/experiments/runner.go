@@ -1,18 +1,17 @@
-// Package experiments contains one runner per table/figure of the paper's
-// evaluation (Table I, Figs. 4–6) plus the extension studies (failure
-// tolerance, duty-cycled energy, resampling ablation, design ablations).
-// The cmd/benchtab binary and the repository's benchmarks are thin wrappers
-// over these runners.
+// Package experiments reproduces the paper's evaluation (Table I,
+// Figs. 4–6) and the extension studies (failure tolerance, duty-cycled
+// energy, resampling ablation, design ablations, robustness sweeps).
+//
+// RunCell is the one tracking loop: it runs a single spec/v1 cell, and every
+// cell-shaped experiment is a grid of cells fanned out on the fleet
+// (Exec.runGrid) and relabeled for its table. The studies that are not a
+// grid of cells — the comm-radius sweep, the latency and aggregation
+// comparisons, the resampler ablation, SDPF's particle-budget probe, the
+// always-on duty-cycle row — keep their own loops. The cmd/benchtab binary
+// and the repository's benchmarks are thin wrappers over these functions.
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/scenario"
-)
+import "fmt"
 
 // Algo names one of the four evaluated algorithms.
 type Algo string
@@ -46,80 +45,6 @@ func ParseAlgo(name string) (Algo, error) {
 	return "", fmt.Errorf("experiments: unknown algorithm %q (want cpf, dpf, sdpf, cdpf, cdpf-ne)", name)
 }
 
-// RunOnce builds the scenario and tracks its target with the given
-// algorithm, returning the per-iteration error series and the communication
-// counters the run caused.
-func RunOnce(p scenario.Params, algo Algo) (metrics.RunResult, error) {
-	sc, err := scenario.Build(p)
-	if err != nil {
-		return metrics.RunResult{}, err
-	}
-	return runOn(sc, algo)
-}
-
-// runOn executes one algorithm over a prepared scenario.
-func runOn(sc *scenario.Scenario, algo Algo) (metrics.RunResult, error) {
-	res := metrics.RunResult{
-		Algo:       string(algo),
-		Density:    sc.P.Density,
-		Seed:       sc.P.Seed,
-		Iterations: sc.Iterations(),
-	}
-	switch algo {
-	case AlgoCDPF, AlgoCDPFNE:
-		tr, err := core.NewTracker(sc.Net, core.DefaultConfig(algo == AlgoCDPFNE))
-		if err != nil {
-			return res, err
-		}
-		rng := sc.RNG(1)
-		for k := 0; k < sc.Iterations(); k++ {
-			r := tr.Step(sc.Observations(k), rng)
-			// CDPF's correction step estimates the previous iteration.
-			if r.EstimateValid && k >= 1 {
-				res.Errors = append(res.Errors, r.Estimate.Dist(sc.Truth(k-1)))
-			}
-		}
-	case AlgoCPF:
-		c, err := baseline.NewCPF(sc.Net, baseline.DefaultCPFConfig())
-		if err != nil {
-			return res, err
-		}
-		rng := sc.RNG(2)
-		for k := 0; k < sc.Iterations(); k++ {
-			if est, ok := c.Step(sc.Observations(k), rng); ok {
-				res.Errors = append(res.Errors, est.Dist(sc.Truth(k)))
-			}
-		}
-	case AlgoDPF:
-		d, err := baseline.NewDPF(sc.Net, baseline.DefaultDPFConfig())
-		if err != nil {
-			return res, err
-		}
-		rng := sc.RNG(4)
-		for k := 0; k < sc.Iterations(); k++ {
-			if est, ok := d.Step(sc.Observations(k), rng); ok {
-				res.Errors = append(res.Errors, est.Dist(sc.Truth(k)))
-			}
-		}
-	case AlgoSDPF:
-		s, err := baseline.NewSDPF(sc.Net, baseline.DefaultSDPFConfig())
-		if err != nil {
-			return res, err
-		}
-		rng := sc.RNG(3)
-		for k := 0; k < sc.Iterations(); k++ {
-			if est, ok := s.Step(sc.Observations(k), rng); ok {
-				res.Errors = append(res.Errors, est.Dist(sc.Truth(k)))
-			}
-		}
-	default:
-		return res, fmt.Errorf("experiments: unknown algorithm %q", algo)
-	}
-	res.Comm = sc.Net.Stats.Snapshot()
-	res.Energy = sc.Net.TotalEnergy()
-	return res, nil
-}
-
 // Seeds returns the canonical seed list for n repetitions (the paper runs
 // ten repetitions per configuration).
 func Seeds(n int) []uint64 {
@@ -128,13 +53,6 @@ func Seeds(n int) []uint64 {
 		out[i] = uint64(i+1) * 31
 	}
 	return out
-}
-
-// Sweep runs every (density, seed, algo) combination and returns the flat
-// result list, suitable for metrics.Summarize. It is the serial form of
-// Exec.Sweep; pass an Exec with Workers > 1 to fan the cells out.
-func Sweep(densities []float64, seeds []uint64, algos []Algo) ([]metrics.RunResult, error) {
-	return Serial.Sweep(densities, seeds, algos)
 }
 
 // PaperDensities returns the evaluation's density grid (5..40 per 100 m²).

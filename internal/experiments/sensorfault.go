@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/scenario"
 	"repro/internal/sensorfault"
+	"repro/internal/spec"
 	"repro/internal/wsn"
 )
 
@@ -37,61 +36,6 @@ func sensorFaultAlgo(defended bool, kind sensorfault.Kind) string {
 		return "cdpf+def/" + kind.String()
 	}
 	return "cdpf/" + kind.String()
-}
-
-// sensorFaultCell is one (kind, fraction, defense, seed) grid point. The
-// fault plan is compiled inside scenario.Build from the cell seed, so the
-// cell is a pure function of its fields and can run on any fleet worker.
-type sensorFaultCell struct {
-	sweepCell
-	density  float64
-	kind     sensorfault.Kind
-	frac     float64
-	defended bool
-	// axisValue (the faulty percentage) is stored in the result's Density
-	// field for grouping.
-	axisValue float64
-}
-
-// runSensorFault tracks one corrupted scenario with the given CDPF
-// configuration and, for quarantine-enabled configurations, scores the
-// detector against the script's ground truth.
-func runSensorFault(sc *scenario.Scenario, cfg core.Config, algoLabel string) (metrics.RunResult, error) {
-	res := metrics.RunResult{
-		Algo:       algoLabel,
-		Density:    sc.P.Density,
-		Seed:       sc.P.Seed,
-		Iterations: sc.Iterations(),
-	}
-	tr, err := core.NewTracker(sc.Net, cfg)
-	if err != nil {
-		return res, err
-	}
-	rng := sc.RNG(1)
-	observed := make(map[wsn.NodeID]bool)
-	valid := make([]bool, sc.Iterations())
-	for k := 0; k < sc.Iterations(); k++ {
-		obs := sc.Observations(k)
-		for _, o := range obs {
-			observed[o.Node] = true
-		}
-		r := tr.Step(obs, rng)
-		valid[k] = r.EstimateValid && k >= 1
-		if valid[k] {
-			res.Errors = append(res.Errors, r.Estimate.Dist(sc.Truth(k-1)))
-		}
-	}
-	res.LossEpisodes, res.ReacquireIters, res.LockedFrac = metrics.TrackEpisodes(valid)
-	res.Comm = sc.Net.Stats.Snapshot()
-	res.Energy = sc.Net.TotalEnergy()
-	if cfg.Quarantine {
-		res.QuarantineTracked = true
-		q := tr.Quarantine()
-		res.GatedTerms = q.Gated
-		res.QuarantineEvictions = q.Evictions
-		res.QuarantinePrecision, res.QuarantineRecall = quarantineScore(q, sc.SensorFaults)
-	}
-	return res, nil
 }
 
 // quarantineScore computes the detector's precision and recall: precision
@@ -143,46 +87,29 @@ func quarantineScore(q core.QuarantineStats, script *sensorfault.Script) (precis
 // for grouping, and the Algo field encodes both the defense and the kind
 // ("cdpf/stuck", "cdpf+def/stuck", ...).
 func (e Exec) SensorFaultSweep(density float64, kinds []sensorfault.Kind, fracs []float64, seeds []uint64) ([]metrics.RunResult, error) {
-	var cells []sensorFaultCell
+	var grid []spec.Axes
 	for _, kind := range kinds {
 		for _, frac := range fracs {
 			for _, defended := range []bool{false, true} {
 				for _, seed := range seeds {
-					cells = append(cells, sensorFaultCell{
-						sweepCell: sweepCell{
-							label: fmt.Sprintf("sensorfault/%s/f%g/s%d", sensorFaultAlgo(defended, kind), frac, seed),
-							seed:  seed,
-						},
-						density: density, kind: kind, frac: frac, defended: defended,
-						axisValue: 100 * frac,
+					grid = append(grid, spec.Axes{
+						Algo: "cdpf", Density: density, Seed: seed,
+						SensorFault: kind.String(), SensorFaultFrac: frac, Defend: defended,
 					})
 				}
 			}
 		}
 	}
-	return runCells(e, cells, func(c sensorFaultCell) (metrics.RunResult, error) {
-		p := scenario.Default(c.density, c.seed)
-		p.SensorFault = sensorfault.Plan{Kind: c.kind, Fraction: c.frac}
-		sc, err := scenario.Build(p)
-		if err != nil {
-			return metrics.RunResult{}, err
-		}
-		cfg := core.DefaultConfig(false)
-		if c.defended {
-			cfg = core.HardenedSensingConfig(false)
-		}
-		r, err := runSensorFault(sc, cfg, sensorFaultAlgo(c.defended, c.kind))
-		if err != nil {
-			return metrics.RunResult{}, fmt.Errorf("experiments: %s seed %d: %w", c.label, c.seed, err)
-		}
-		r.Density = c.axisValue
-		return r, nil
-	})
+	return e.sweep(grid, relabelSensorFault)
 }
 
-// SensorFaultSweep is the serial form of Exec.SensorFaultSweep.
-func SensorFaultSweep(density float64, kinds []sensorfault.Kind, fracs []float64, seeds []uint64) ([]metrics.RunResult, error) {
-	return Serial.SensorFaultSweep(density, kinds, fracs, seeds)
+// relabelSensorFault groups a sensor-fault cell's result by faulty
+// percentage under its "cdpf[+def]/<kind>" label.
+func relabelSensorFault(r *metrics.RunResult, ax spec.Axes) {
+	// The kind parsed when the cell ran, so it is known to be valid.
+	kind, _ := sensorfault.ParseKind(ax.SensorFault)
+	r.Algo = sensorFaultAlgo(ax.Defend, kind)
+	r.Density = 100 * ax.SensorFaultFrac
 }
 
 // SensorFaultTables renders a sensor-fault sweep as RMSE and coverage grids

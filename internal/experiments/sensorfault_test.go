@@ -38,7 +38,7 @@ func TestSensorFaultSweepDeterminism(t *testing.T) {
 // the clean-field RMSE, and the quarantine detector catches real victims
 // with high precision.
 func TestSensorFaultDefenseHeadline(t *testing.T) {
-	results, err := SensorFaultSweep(20, []sensorfault.Kind{sensorfault.Stuck}, []float64{0, 0.2}, Seeds(3))
+	results, err := Exec{}.SensorFaultSweep(20, []sensorfault.Kind{sensorfault.Stuck}, []float64{0, 0.2}, Seeds(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"os"
 	"strings"
 	"testing"
@@ -36,31 +35,13 @@ func runSpecCells(t *testing.T, name string, keep func(spec.Axes) bool,
 	if err != nil {
 		t.Fatal(err)
 	}
-	type specCell struct {
-		sweepCell
-		ax spec.Axes
-	}
-	var work []specCell
+	var grid []spec.Axes
 	for _, c := range cells {
-		if keep != nil && !keep(c.Axes) {
-			continue
+		if keep == nil || keep(c.Axes) {
+			grid = append(grid, c.Axes)
 		}
-		work = append(work, specCell{
-			sweepCell: sweepCell{label: name + "/" + c.Name, seed: c.Axes.Seed},
-			ax:        c.Axes,
-		})
 	}
-	results, err := runCells(Exec{Workers: 2}, work, func(c specCell) (metrics.RunResult, error) {
-		out, err := RunCell(context.Background(), c.ax)
-		if err != nil {
-			return metrics.RunResult{}, err
-		}
-		r := out.Result
-		if relabel != nil {
-			relabel(&r, c.ax)
-		}
-		return r, nil
-	})
+	results, err := Exec{Workers: 2}.sweep(grid, relabel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +86,17 @@ func TestSpecReproducesResilienceCSVs(t *testing.T) {
 	assertTableMatchesCSV(t, failRMSE, "resilience_fail_rmse")
 	assertTableMatchesCSV(t, failCov, "resilience_fail_coverage")
 	assertTableMatchesCSV(t, failReacq, "resilience_fail_reacq")
+}
+
+// TestSpecReproducesLossCSV regenerates the unreliable-links sweep from
+// examples/specs/loss.json.
+func TestSpecReproducesLossCSV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten-seed sweep; skipped with -short")
+	}
+	results := runSpecCells(t, "loss", nil,
+		func(r *metrics.RunResult, ax spec.Axes) { r.Density = 100 * ax.Loss })
+	assertTableMatchesCSV(t, LossTable(metrics.Summarize(results)), "loss")
 }
 
 // TestSpecReproducesSensorFaultCSVs regenerates the sensor-fault grid from

@@ -82,6 +82,7 @@ type Scenario struct {
 	SensorFaults *sensorfault.Script
 
 	noiseRNG *mathx.RNG
+	detBuf   []wsn.NodeID // Observations' detecting set, reused per call
 }
 
 // Build deploys the network, simulates the ground-truth trajectory, and
@@ -183,9 +184,11 @@ func (s *Scenario) CrossedNodes(k int) []wsn.NodeID {
 // running on the scenario sees the same corrupted values.
 func (s *Scenario) Observations(k int) []core.Observation {
 	truth := s.Truth(k)
-	det := s.DetectingNodes(k)
-	obs := make([]core.Observation, 0, len(det))
-	for _, id := range det {
+	// The detecting set (DetectingNodes' query) lands in a reused buffer;
+	// only the observations escape to the caller.
+	s.detBuf = s.Net.AppendActiveNodesWithin(s.detBuf[:0], truth, s.Net.Cfg.SensingRadius)
+	obs := make([]core.Observation, 0, len(s.detBuf))
+	for _, id := range s.detBuf {
 		z := s.Sensor.Measure(s.Net.Node(id).Pos, truth, s.noiseRNG)
 		if s.SensorFaults != nil {
 			z, _ = s.SensorFaults.Corrupt(id, s.Filter.Times[k], z)

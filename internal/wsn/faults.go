@@ -59,17 +59,12 @@ type FaultEvent struct {
 type FaultSchedule struct {
 	events  []FaultEvent
 	applied int             // events already replayed
-	perm    map[NodeID]bool // fail-stopped nodes
-	outages map[NodeID]int  // open-outage nesting count per node
+	perm    map[NodeID]bool // fail-stopped nodes; allocated on first replay
+	outages map[NodeID]int  // open-outage nesting count per node; likewise
 }
 
 // NewFaultSchedule returns an empty schedule.
-func NewFaultSchedule() *FaultSchedule {
-	return &FaultSchedule{
-		perm:    make(map[NodeID]bool),
-		outages: make(map[NodeID]int),
-	}
-}
+func NewFaultSchedule() *FaultSchedule { return &FaultSchedule{} }
 
 // add inserts ev keeping events sorted by time, after any equal-time events
 // (stable order), and panics if events before the replay cursor would be
@@ -176,6 +171,10 @@ func (fs *FaultSchedule) Times() []float64 {
 // network and returns the number of nodes taken down and restored. Calls
 // must present non-decreasing times (replay is cursor-based).
 func (fs *FaultSchedule) ApplyUntil(nw *Network, t float64) (down, restored int) {
+	if fs.applied < len(fs.events) && fs.perm == nil {
+		fs.perm = make(map[NodeID]bool)
+		fs.outages = make(map[NodeID]int)
+	}
 	for fs.applied < len(fs.events) && fs.events[fs.applied].Time <= t {
 		ev := fs.events[fs.applied]
 		fs.applied++
@@ -227,8 +226,8 @@ func (fs *FaultSchedule) DownCount() int {
 // be replayed against a reset network (see Network.ResetStates).
 func (fs *FaultSchedule) Rewind() {
 	fs.applied = 0
-	fs.perm = make(map[NodeID]bool)
-	fs.outages = make(map[NodeID]int)
+	fs.perm = nil
+	fs.outages = nil
 }
 
 // RandomNodes picks ceil(frac·n) distinct nodes uniformly at random from
