@@ -27,7 +27,6 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/scenario"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/trace"
 	"repro/internal/wsn"
@@ -276,22 +275,6 @@ func BenchmarkMultiTargetFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkEventDrivenSession measures the DES-driven duty-cycled session.
-func BenchmarkEventDrivenSession(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := sim.NewSession(sim.Config{
-			Scenario:  scenario.Default(20, benchSeed),
-			Tracker:   core.DefaultConfig(false),
-			DutyCycle: 0.2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Run()
-	}
-}
-
 // BenchmarkTrackerStep isolates one warmed CDPF iteration: scenario build and
 // tracker warm-up run outside the timed loop, so ns/op and allocs/op price
 // exactly the per-iteration hot path the scratch arena targets (steady-state
@@ -474,7 +457,7 @@ func BenchmarkServeManagerThroughput(b *testing.B) {
 	specs := make([]serve.SessionSpec, sessions)
 	batches := make([][]serve.Batch, sessions)
 	for i := range specs {
-		specs[i] = serve.SessionSpec{ID: fmt.Sprintf("bench-%d", i), Scenario: scenario.Default(10, seeds[i])}
+		specs[i] = serve.SessionSpec{ID: fmt.Sprintf("bench-%d", i), Cell: &spec.Axes{Algo: "cdpf", Density: 10, Seed: seeds[i]}}
 		bs, err := serve.Observations(specs[i])
 		if err != nil {
 			b.Fatal(err)

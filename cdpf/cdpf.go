@@ -34,7 +34,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sensorfault"
-	"repro/internal/sim"
 	"repro/internal/statex"
 	"repro/internal/wsn"
 )
@@ -382,17 +381,3 @@ type (
 func GossipAverage(nw *Network, values map[NodeID]float64, cfg GossipConfig, rng *RNG) (GossipResult, error) {
 	return consensus.Average(nw, values, cfg, rng)
 }
-
-// Event-driven sessions.
-type (
-	// Session is a discrete-event tracking run (target motion, duty
-	// cycling, proactive wake-ups, and filter iterations on one clock).
-	Session = sim.Session
-	// SessionConfig parameterizes a session.
-	SessionConfig = sim.Config
-	// IterationEvent is one filter iteration's session record.
-	IterationEvent = sim.IterationEvent
-)
-
-// NewSession builds an event-driven tracking session.
-func NewSession(cfg SessionConfig) (*Session, error) { return sim.NewSession(cfg) }

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/scenario"
 	"repro/internal/serve"
+	cellspec "repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -36,8 +36,8 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	dataDir := filepath.Join(workDir, "data")
 
 	specs := []serve.SessionSpec{
-		{ID: "crash-a", Scenario: scenario.Default(10, 1201)},
-		{ID: "crash-b", Scenario: scenario.Default(10, 1202), UseNE: true},
+		{ID: "crash-a", Cell: &cellspec.Axes{Algo: "cdpf", Density: 10, Seed: 1201}},
+		{ID: "crash-b", Cell: &cellspec.Axes{Algo: "cdpf-ne", Density: 10, Seed: 1202}},
 	}
 	feeds := make(map[string][]serve.Batch, len(specs))
 	for _, spec := range specs {

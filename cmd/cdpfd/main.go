@@ -1,15 +1,15 @@
 // Command cdpfd is the online tracking daemon: it hosts concurrent CDPF
 // sessions over HTTP, ingesting measurement batches and streaming estimates
 // back as Server-Sent Events (see internal/serve for the API and the
-// determinism contract with the offline sim).
+// determinism contract with the offline run).
 //
-// A session is created with either the flag-style Scenario/Tracker spec or a
-// declarative spec/v1 cell: POST /v1/sessions with a "cell" object holding
-// the axes (algo, density, seed, loss, burst, failfrac, sensor faults,
-// defend, ...). Cells are admitted only when serveable — cdpf/cdpf-ne,
-// single target, no duty cycle or mobility — and resolve through the same
-// internal/spec path cdpfsim and cdpfmatrix use, so a served cell, an
-// offline -spec run, and a matrix cell produce identical bytes.
+// A session is one declarative spec/v1 cell: POST /v1/sessions with a
+// "cell" object holding the axes (algo, density, seed, loss, burst,
+// failfrac, sensor faults, defend, ...). Cells are admitted only when
+// serveable — cdpf/cdpf-ne, single target, no duty cycle or mobility — and
+// resolve through the same internal/spec path cdpfsim and cdpfmatrix use, so
+// a served cell, an offline -spec run, and a matrix cell produce identical
+// bytes.
 //
 // Usage:
 //

@@ -467,38 +467,52 @@ func (c *clusterCtl) killBusiest(ctx context.Context) {
 	fmt.Fprintf(os.Stderr, "cdpfload: backend %s back at %s, recovered in %v\n", name, addr, d.Round(time.Millisecond))
 }
 
-// busiestBackend reads the gateway's /cluster census.
+// busiestBackend polls the gateway's /cluster census until some backend
+// reports a live session, and returns the one reporting the most. A single
+// census is not enough: a backend whose probe timed out reads -1 and a
+// loaded host can serve a stale count, so the drill could pick a backend
+// that served no session.
 func (c *clusterCtl) busiestBackend(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.gw.base+"/cluster", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var info struct {
-		Sessions map[string]int `json:"sessions_per_backend"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return "", err
-	}
-	best, bestN := "", -1
-	names := make([]string, 0, len(info.Sessions))
-	for name := range info.Sessions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if n := info.Sessions[name]; n > bestN {
-			best, bestN = name, n
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.gw.base+"/cluster", nil)
+		if err != nil {
+			return "", err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return "", err
+		}
+		var info struct {
+			Sessions map[string]int `json:"sessions_per_backend"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil {
+			return "", err
+		}
+		best, bestN := "", -1
+		names := make([]string, 0, len(info.Sessions))
+		for name := range info.Sessions {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if n := info.Sessions[name]; n > bestN {
+				best, bestN = name, n
+			}
+		}
+		if best == "" {
+			return "", fmt.Errorf("empty census from /cluster")
+		}
+		if bestN > 0 {
+			return best, nil
+		}
+		select {
+		case <-ctx.Done():
+			return "", ctx.Err()
+		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	if best == "" {
-		return "", fmt.Errorf("empty census from /cluster")
-	}
-	return best, nil
 }
 
 // migrateViaGateway POSTs the explicit evacuation and returns how many

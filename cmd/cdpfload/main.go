@@ -48,12 +48,11 @@
 // TCP proxy (internal/chaos) between the gateway and every backend; backend
 // i's proxy is seeded -chaos-seed + i, so a run's fault log is reproducible.
 //
-// With -spec FILE[#CELL], every session is configured from one declarative
-// spec/v1 cell (the same files cdpfsim -spec and cdpfmatrix run) instead of
-// the -density/-use-ne/-steps flags; per-session seeds still derive from
-// -seed, overriding the cell's seed axis, and offline-twin verification
-// covers the cell's full composition (loss, fail-stops, sensor faults,
-// defenses).
+// Every session is one spec/v1 cell: the -density/-use-ne/-steps flags
+// build it, or -spec FILE[#CELL] loads it (the same files cdpfsim -spec and
+// cdpfmatrix run). Per-session seeds derive from -seed, overriding the
+// cell's seed axis, and offline-twin verification covers the cell's full
+// composition (loss, fail-stops, sensor faults, defenses).
 //
 // Usage:
 //
@@ -85,7 +84,6 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/fleet"
-	"repro/internal/scenario"
 	"repro/internal/serve"
 	cellspec "repro/internal/spec"
 	"repro/internal/trace"
@@ -101,7 +99,7 @@ type options struct {
 	window       int
 	useNE        bool
 	spec         string
-	cellAxes     *cellspec.Axes // resolved from -spec; per-session seeds override Seed
+	cellAxes     *cellspec.Axes // resolved from -spec or the flags; per-session seeds override Seed
 	verify       bool
 	benchJSON    string
 	note         string
@@ -189,6 +187,16 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		ax := cell.Axes.Normalized()
 		o.cellAxes = &ax
 		o.steps = ax.Steps
+	} else {
+		// The flags spell a clean cdpf or cdpf-ne cell.
+		if o.density <= 0 {
+			return fmt.Errorf("need positive -density")
+		}
+		ax := cellspec.Axes{Algo: "cdpf", Density: o.density, Steps: o.steps}
+		if o.useNE {
+			ax.Algo = "cdpf-ne"
+		}
+		o.cellAxes = &ax
 	}
 	if o.sessions <= 0 || o.steps <= 0 {
 		return fmt.Errorf("need positive -sessions and -steps")
@@ -328,19 +336,11 @@ func driveAll(ctx context.Context, o options, baseFn func() string, rec recovere
 	specs := make([]serve.SessionSpec, o.sessions)
 	allBatches := make([][]serve.Batch, o.sessions)
 	for i := range specs {
-		spec := serve.SessionSpec{ID: fmt.Sprintf("load-%d-%03d", o.seed, i)}
-		if o.cellAxes != nil {
-			ax := *o.cellAxes
-			ax.Seed = seeds[i]
-			spec.Cell = &ax
-		} else {
-			spec.Scenario = scenario.Default(o.density, seeds[i])
-			spec.UseNE = o.useNE
-			spec.Scenario.Steps = o.steps
-		}
-		specs[i] = spec
+		ax := *o.cellAxes
+		ax.Seed = seeds[i]
+		specs[i] = serve.SessionSpec{ID: fmt.Sprintf("load-%d-%03d", o.seed, i), Cell: &ax}
 		var err error
-		if allBatches[i], err = serve.Observations(spec); err != nil {
+		if allBatches[i], err = serve.Observations(specs[i]); err != nil {
 			return nil, 0, fmt.Errorf("session %d observations: %w", i, err)
 		}
 	}

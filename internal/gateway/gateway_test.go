@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/ring"
-	"repro/internal/scenario"
 	"repro/internal/serve"
+	cellspec "repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -77,9 +77,7 @@ func newTestClusterCfg(t *testing.T, n int, tune func(*Config)) *testCluster {
 }
 
 func testSpec(id string, steps int, seed uint64) serve.SessionSpec {
-	spec := serve.SessionSpec{ID: id, Scenario: scenario.Default(10, seed)}
-	spec.Scenario.Steps = steps
-	return spec
+	return serve.SessionSpec{ID: id, Cell: &cellspec.Axes{Algo: "cdpf", Density: 10, Seed: seed, Steps: steps}}
 }
 
 // create POSTs a session through the gateway and returns info + the backend
@@ -221,6 +219,28 @@ func TestAssignsSessionID(t *testing.T) {
 	}
 	if _, _, status := tc.info(info.ID); status != http.StatusOK {
 		t.Fatalf("assigned session %s not routable: HTTP %d", info.ID, status)
+	}
+}
+
+// TestRejectsCelllessSpecs: create bodies in the retired scenario/tracker
+// spelling, and the empty spec, are 400 through the gateway — rejected by
+// its strict decode or by the owning backend.
+func TestRejectsCelllessSpecs(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	for _, body := range []string{
+		`{"scenario":{"Density":10,"Seed":1}}`,
+		`{"use_ne":true}`,
+		`{"tracker":{"DropFraction":0.3}}`,
+		`{}`,
+	} {
+		resp, err := http.Post(tc.gwSrv.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

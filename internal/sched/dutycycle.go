@@ -1,3 +1,7 @@
+// Package sched provides the time machinery of the simulator: periodic
+// duty-cycling of sensor nodes and the TDSS-style proactive wake-up used by
+// CDPF to ensure nodes around the predicted target position are awake when
+// particles arrive (Section III-C).
 package sched
 
 import (

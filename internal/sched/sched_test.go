@@ -8,104 +8,6 @@ import (
 	"repro/internal/wsn"
 )
 
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	if err := e.At(3, func() { order = append(order, 3) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.At(1, func() { order = append(order, 1) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.At(2, func() { order = append(order, 2) }); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v", order)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("Now = %v", e.Now())
-	}
-}
-
-func TestEngineTieBreakFIFO(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events out of scheduling order: %v", order)
-		}
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var hits []float64
-	e.At(1, func() {
-		hits = append(hits, e.Now())
-		e.After(2, func() { hits = append(hits, e.Now()) })
-	})
-	e.Run()
-	if len(hits) != 2 || hits[0] != 1 || hits[1] != 3 {
-		t.Fatalf("hits = %v", hits)
-	}
-}
-
-func TestEnginePastSchedulingRejected(t *testing.T) {
-	e := NewEngine()
-	e.At(5, func() {})
-	e.Run()
-	if err := e.At(1, func() {}); err == nil {
-		t.Fatal("past scheduling accepted")
-	}
-	if err := e.After(-1, func() {}); err == nil {
-		t.Fatal("negative delay accepted")
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(1, func() { ran++ })
-	e.At(2, func() { ran++ })
-	e.At(10, func() { ran++ })
-	e.RunUntil(5)
-	if ran != 2 {
-		t.Fatalf("ran %d events, want 2", ran)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("Now = %v, want 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d", e.Pending())
-	}
-	e.Run()
-	if ran != 3 || e.Now() != 10 {
-		t.Fatalf("final ran=%d now=%v", ran, e.Now())
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(1, func() { ran++; e.Stop() })
-	e.At(2, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("Stop did not halt the run: ran=%d", ran)
-	}
-	e.Run() // resume
-	if ran != 2 {
-		t.Fatalf("resume failed: ran=%d", ran)
-	}
-}
-
 func TestDutyCycleValidation(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	if _, err := NewDutyCycle(5, 0, 0.5, rng); err == nil {

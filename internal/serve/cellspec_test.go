@@ -2,21 +2,39 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/scenario"
 	cellspec "repro/internal/spec"
 	"repro/internal/trace"
 )
 
 // cellSpec is a served spec/v1 cell composing bursty loss with mid-run
-// fail-stops — axes the Scenario/Tracker spec form cannot express.
+// fail-stops.
 func cellSpec(id string) SessionSpec {
 	return SessionSpec{ID: id, Cell: &cellspec.Axes{
 		Algo: "cdpf", Density: 10, Seed: 31, Loss: 0.3, Burst: 3, FailFrac: 0.2,
 	}}
+}
+
+// TestDecodeSpecIgnoresZeroScenario: cell records logged while the spec
+// still had a scenario field carry a zero "scenario" object beside the cell;
+// they decode to the cell alone.
+func TestDecodeSpecIgnoresZeroScenario(t *testing.T) {
+	logged := `{"id":"cell-crashy","scenario":{"Density":0,"Seed":0,"Steps":0,"Dt":0,"SigmaN":0,` +
+		`"Target":{"Start":{"X":0,"Y":0},"Heading":0,"Speed":0,"StepDt":0,"MaxTurn":0},"FailFraction":0,"SleepFraction":0,` +
+		`"SensorFault":{"Kind":0,"Fraction":0,"Magnitude":0,"Start":0,"End":0}},` +
+		`"cell":{"algo":"cdpf","density":10,"seed":31,"steps":10,"dt":5,"sigma_n":0.05,"loss":0.3,"burst":3,` +
+		`"failfrac":0.2,"sfault":"stuck","hardened":"auto","targets":1},"queue":16}`
+	got, err := decodeSpec([]byte(logged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cellSpec("cell-crashy").normalize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v (cell %+v), want %+v (cell %+v)", got, *got.Cell, want, *want.Cell)
+	}
 }
 
 // TestCellServedSessionMatchesOfflineTwin is the determinism contract for
@@ -84,7 +102,7 @@ func TestCellOfflineTraceMatchesRunCell(t *testing.T) {
 	}
 }
 
-// TestCellSpecAdmission rejects mixed, invalid, and non-serveable cells.
+// TestCellSpecAdmission rejects cell-less, invalid, and non-serveable specs.
 func TestCellSpecAdmission(t *testing.T) {
 	m := NewManager(ManagerConfig{Shards: 1})
 	defer m.Drain()
@@ -92,14 +110,7 @@ func TestCellSpecAdmission(t *testing.T) {
 		name string
 		spec SessionSpec
 	}{
-		{"cell plus scenario", SessionSpec{
-			Cell:     &cellspec.Axes{Algo: "cdpf"},
-			Scenario: scenario.Default(10, 1),
-		}},
-		{"cell plus use_ne", SessionSpec{
-			Cell:  &cellspec.Axes{Algo: "cdpf"},
-			UseNE: true,
-		}},
+		{"no cell", SessionSpec{}},
 		{"invalid cell", SessionSpec{Cell: &cellspec.Axes{Loss: 2}}},
 		{"baseline algo", SessionSpec{Cell: &cellspec.Axes{Algo: "sdpf"}}},
 		{"duty cell", SessionSpec{Cell: &cellspec.Axes{Algo: "cdpf", Duty: 0.3}}},

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -125,25 +124,32 @@ func assertTwinIdentity(t *testing.T, spec SessionSpec, got []trace.Record) {
 	}
 }
 
+// legacyCrashySpec is testSpec("crashy", 31) as a server logged it before
+// the cell became the only session spelling: the normalized "scenario" and
+// "tracker" objects, with the "Parallelism":1 tracker field sessions pinned
+// before the tracker lost its intra-step worker pool.
+const legacyCrashySpec = `{"id":"crashy","scenario":{"Density":10,"Seed":31,"Steps":10,"Dt":5,"SigmaN":0.05,` +
+	`"Target":{"Start":{"X":0,"Y":100},"Heading":0,"Speed":3,"StepDt":1,"MaxTurn":0.2617993877991494},` +
+	`"FailFraction":0,"SleepFraction":0,"SensorFault":{"Kind":0,"Fraction":0,"Magnitude":0,"Start":0,"End":0}},` +
+	`"tracker":{"Sizes":{"Dp":16,"Dm":4,"Dw":4},"Sensor":{"SigmaN":0.05,"TailNu":0},"Dt":5,"PredictRadius":0,` +
+	`"RecordThreshold":0.3,"DropFraction":0.3,"UseNE":false,"InitWeight":1,"QuantSigma":0,"PerParticleAreas":false,` +
+	`"VelSmoothing":0,"NEDetectBoost":0,"MaxHolders":0,"Parallelism":1,"Rebroadcasts":0,"RebroadcastBackoff":0,` +
+	`"CompensateLoss":false,"GateSigma":0,"Quarantine":false,"QuarantineDevSigma":0},"queue":16}`
+
 // legacyCopy rewrites the durable state of session id in dir into a fresh
 // directory the way an older server wrote it: the same WAL records and
-// snapshot, but with "Parallelism":1 in the tracker config of the spec JSON
-// (the field core.Config carried, and sessions pinned, before the tracker
-// lost its intra-step worker pool). Returns the new directory.
-func legacyCopy(t *testing.T, dir, id string) string {
+// snapshot, but carrying specJSON as the logged spec. Returns the new
+// directory.
+func legacyCopy(t *testing.T, dir, id, specJSON string) string {
 	t.Helper()
 	st, rec := openStore(t, dir)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	log, snap := rec.Sessions[id], rec.Snapshots[id]
-	legacy := bytes.Replace(log.SpecJSON, []byte(`"Rebroadcasts":`), []byte(`"Parallelism":1,"Rebroadcasts":`), 1)
-	if bytes.Equal(legacy, log.SpecJSON) {
-		t.Fatalf("logged spec has no tracker config: %s", log.SpecJSON)
-	}
 	out := t.TempDir()
 	st, _ = openStore(t, out)
-	if err := st.LogCreate(0, id, legacy); err != nil {
+	if err := st.LogCreate(0, id, []byte(specJSON)); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range log.Batches {
@@ -153,7 +159,7 @@ func legacyCopy(t *testing.T, dir, id string) string {
 	}
 	if snap != nil {
 		old := *snap
-		old.SpecJSON = legacy
+		old.SpecJSON = []byte(specJSON)
 		if err := st.SaveSnapshot(&old); err != nil {
 			t.Fatal(err)
 		}
@@ -181,10 +187,10 @@ func TestRecoverResumesMidRunByteIdentical(t *testing.T) {
 		// Cadence beyond the run: no snapshot exists, the WAL rebuilds all
 		// five steps.
 		{"wal-only", 1000, 5, false},
-		// A store written before the Parallelism field was removed: the
-		// unknown field is ignored and the snapshot still matches its
+		// A store written with the legacy scenario/tracker spelling: the
+		// record converts to its cell, and the snapshot still matches its
 		// create record byte for byte.
-		{"legacy-parallelism", 4, 1, true},
+		{"legacy-spelling", 4, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -203,7 +209,18 @@ func TestRecoverResumesMidRunByteIdentical(t *testing.T) {
 			waitStepped(t, m1, spec.ID, 5)
 			crash(t, m1, st1)
 			if tc.legacy {
-				dir = legacyCopy(t, dir, spec.ID)
+				// A legacy tracker no cell builds fails recovery, naming
+				// the session.
+				noCell := strings.Replace(legacyCrashySpec, `"DropFraction":0.3`, `"DropFraction":0.1`, 1)
+				st, rec := openStore(t, legacyCopy(t, dir, spec.ID, noCell))
+				m := NewManager(ManagerConfig{Shards: 1, Store: st})
+				err := m.Restore(rec)
+				m.Drain()
+				st.Close()
+				if err == nil || !strings.Contains(err.Error(), `"crashy"`) {
+					t.Fatalf("unconvertible legacy spec: Restore error %v, want one naming the session", err)
+				}
+				dir = legacyCopy(t, dir, spec.ID, legacyCrashySpec)
 			}
 
 			st2, rec := openStore(t, dir)
@@ -449,39 +466,51 @@ func TestRecoveredAutoIDsDoNotCollide(t *testing.T) {
 	}
 }
 
-// TestReplayRebuildsTraceFromWAL: the offline replay path (cdpfreplay)
-// reconstructs a production session's trace from the WAL alone.
+// TestReplayRebuildsTraceFromWAL: the offline replay path (cdpfsim
+// -replay-dir) reconstructs a production session's trace, labels included,
+// from the WAL alone.
 func TestReplayRebuildsTraceFromWAL(t *testing.T) {
-	dir := t.TempDir()
-	spec := testSpec("replayable", 85)
-	batches, err := Observations(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1, _ := openStore(t, dir)
-	m1 := NewManager(ManagerConfig{Shards: 2, Store: st1})
-	if _, err := m1.Create(spec); err != nil {
-		t.Fatal(err)
-	}
-	feedRange(t, m1, spec.ID, batches, 0, len(batches))
-	waitStepped(t, m1, spec.ID, len(batches))
-	m1.Drain()
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, spec := range []SessionSpec{testSpec("replayable", 85), cellSpec("replayable-cell")} {
+		t.Run(spec.ID, func(t *testing.T) {
+			dir := t.TempDir()
+			batches, err := Observations(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st1, _ := openStore(t, dir)
+			m1 := NewManager(ManagerConfig{Shards: 2, Store: st1})
+			if _, err := m1.Create(spec); err != nil {
+				t.Fatal(err)
+			}
+			feedRange(t, m1, spec.ID, batches, 0, len(batches))
+			waitStepped(t, m1, spec.ID, len(batches))
+			m1.Drain()
+			if err := st1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	rec, err := durable.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := Replay(rec, spec.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTwinIdentity(t, spec, replayed.Records)
+			rec, err := durable.Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := Replay(rec, spec.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTwinIdentity(t, spec, replayed.Records)
+			offline, err := OfflineTrace(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replayed.Algo != offline.Algo || replayed.Density != offline.Density || replayed.Seed != offline.Seed {
+				t.Fatalf("replay labels algo %s, density %v, seed %d; offline twin algo %s, density %v, seed %d",
+					replayed.Algo, replayed.Density, replayed.Seed, offline.Algo, offline.Density, offline.Seed)
+			}
 
-	if _, err := Replay(rec, "nonesuch"); err == nil {
-		t.Fatal("replay of unknown session succeeded")
+			if _, err := Replay(rec, "nonesuch"); err == nil {
+				t.Fatal("replay of unknown session succeeded")
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -557,10 +556,6 @@ func (m *Manager) Restore(rec *durable.Recovery) error {
 
 // rebuildSession reconstructs one session from its snapshot and WAL tail.
 func (m *Manager) rebuildSession(id string, log *durable.SessionLog, snap *durable.Snapshot, counters *durable.Counters) (*session, error) {
-	var spec SessionSpec
-	if err := json.Unmarshal(log.SpecJSON, &spec); err != nil {
-		return nil, fmt.Errorf("logged spec: %w", err)
-	}
 	shard := m.shardFor(id)
 	// A migrated-in session's WAL history starts at the handoff snapshot
 	// embedded in its import record, not at step 0; batches before baseStep
@@ -570,6 +565,7 @@ func (m *Manager) rebuildSession(id string, log *durable.SessionLog, snap *durab
 		baseStep = log.Base.Stepped
 	}
 	var s *session
+	var err error
 	// A snapshot file is trusted only for the WAL incarnation whose exact
 	// spec bytes it carries: a reused session ID re-created after the
 	// snapshot was written fails the comparison and rebuilds from the WAL
@@ -580,24 +576,14 @@ func (m *Manager) rebuildSession(id string, log *durable.SessionLog, snap *durab
 	switch {
 	case snap != nil && bytes.Equal(snap.SpecJSON, log.SpecJSON) &&
 		snap.Stepped >= baseStep && snap.Stepped <= baseStep+len(log.Batches):
-		restored, err := restoreSession(id, shard, snap)
-		if err != nil {
-			return nil, err
-		}
-		s = restored
+		s, err = restoreSession(id, shard, snap)
 	case log.Base != nil:
-		restored, err := restoreSession(id, shard, log.Base)
-		if err != nil {
-			return nil, err
-		}
-		s = restored
+		s, err = restoreSession(id, shard, log.Base)
 	default:
-		fresh, err := newSession(id, shard, spec.normalize())
-		if err != nil {
-			return nil, err
-		}
-		fresh.specJSON = log.SpecJSON
-		s = fresh
+		s, err = loggedSession(id, shard, log.SpecJSON)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, b := range log.Batches {
 		if b.K < s.stepped || s.done {

@@ -1,10 +1,10 @@
 // Package serve is the online tracking service: it hosts many concurrent
 // tracking sessions over the existing core.Tracker.Step API, each session
-// being the served twin of one offline sim/cdpfsim run. Sessions are hashed
-// onto a fixed pool of shard goroutines (one goroutine per shard, every
-// session owned by exactly one shard), measurements stream in over HTTP as
-// JSON batches, and per-iteration estimates stream back out as Server-Sent
-// Events.
+// being the served twin of one offline spec/v1 cell run (cdpfsim -spec,
+// experiments.RunCell). Sessions are hashed onto a fixed pool of shard
+// goroutines (one goroutine per shard, every session owned by exactly one
+// shard), measurements stream in over HTTP as JSON batches, and
+// per-iteration estimates stream back out as Server-Sent Events.
 //
 // The determinism contract is the whole point of the design: a served
 // session fed the observations an offline run would have generated produces
@@ -23,40 +23,30 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
 	cellspec "repro/internal/spec"
-	"repro/internal/statex"
 	"repro/internal/trace"
 )
 
-// SessionSpec is the body of POST /v1/sessions: the scenario (network
-// deployment seed, target model, noise) and tracker configuration for one
-// session. Both are the repository's own config structs, so the service
-// validates them through exactly the paths scenario.Build and
-// core.NewTracker already enforce.
+// SessionSpec is the body of POST /v1/sessions: one declarative spec/v1
+// cell (see internal/spec; "cdpfsim -spec" and cdpfmatrix run the same
+// cells offline) configures the whole session — scenario, loss model, fault
+// schedule, tracker config — so the service validates it through exactly
+// the paths the offline runs enforce.
 type SessionSpec struct {
 	// ID optionally names the session; the server assigns "s-<n>" when
 	// empty. IDs must be unique among live sessions.
 	ID string `json:"id,omitempty"`
-	// Scenario is the environment. Zero fields default like
-	// scenario.Default: Steps 10, Dt 5, SigmaN 0.05, the paper's target.
-	Scenario scenario.Params `json:"scenario"`
-	// Cell, when non-nil, configures the whole session — scenario, loss
-	// model, fault schedule, tracker config — from one declarative spec/v1
-	// cell (see internal/spec; "cdpfsim -spec" and cdpfmatrix run the same
-	// cells offline). Mutually exclusive with Scenario/Tracker/UseNE. Only
-	// serveable cells are admitted: algo cdpf or cdpf-ne with no duty-cycle,
-	// mobility, or multi-target axis, since those need machinery the online
-	// step loop does not run.
+	// Cell is the session's configuration; a spec without one is rejected.
+	// Only serveable cells are admitted: algo cdpf or cdpf-ne with no
+	// duty-cycle, mobility, or multi-target axis, since those need machinery
+	// the online step loop does not run.
 	Cell *cellspec.Axes `json:"cell,omitempty"`
-	// Tracker, when non-nil, is the full CDPF configuration; nil selects
-	// core.DefaultConfig(UseNE).
-	Tracker *core.Config `json:"tracker,omitempty"`
-	// UseNE selects the CDPF-NE variant when Tracker is nil.
-	UseNE bool `json:"use_ne,omitempty"`
 	// Queue is the per-session ingestion-queue budget (measurement batches
 	// admitted but not yet stepped); 0 defaults to DefaultSessionQueue.
 	// Admission beyond the budget is rejected with 429.
@@ -67,41 +57,54 @@ type SessionSpec struct {
 // SessionSpec.Queue is zero.
 const DefaultSessionQueue = 16
 
-// normalize fills scenario defaults (mirroring scenario.Default) and
-// resolves the tracker config. Validation proper happens in scenario.Build
-// and core.NewTracker.
+// normalize fills the cell's defaults and the queue budget. Validation
+// proper happens in buildSession.
 func (s SessionSpec) normalize() SessionSpec {
 	if s.Cell != nil {
-		// Cell sessions: the cell is the whole configuration. Normalize it
-		// and the queue budget only, leaving Scenario zero and Tracker nil so
-		// buildSession can reject mixed specs.
 		ax := s.Cell.Normalized()
 		s.Cell = &ax
-		if s.Queue <= 0 {
-			s.Queue = DefaultSessionQueue
-		}
-		return s
-	}
-	if s.Scenario.Steps == 0 {
-		s.Scenario.Steps = 10
-	}
-	if s.Scenario.Dt == 0 {
-		s.Scenario.Dt = 5
-	}
-	if s.Scenario.SigmaN == 0 {
-		s.Scenario.SigmaN = 0.05
-	}
-	if s.Scenario.Target.StepDt == 0 {
-		s.Scenario.Target = statex.DefaultTargetConfig()
-	}
-	if s.Tracker == nil {
-		cfg := core.DefaultConfig(s.UseNE)
-		s.Tracker = &cfg
 	}
 	if s.Queue <= 0 {
 		s.Queue = DefaultSessionQueue
 	}
 	return s
+}
+
+// decodeSpec parses a logged session spec — a WAL create record or a
+// snapshot's spec bytes — into its normalized form. Records logged before
+// the cell became the only spelling carry "scenario" and "tracker" objects
+// instead of a cell; such a record converts to the cell whose scenario
+// parameters and tracker config (hardened "off") equal the logged ones, or
+// fails. (Cell records of that era also carry a zero "scenario" object,
+// which is ignored.)
+func decodeSpec(b []byte) (SessionSpec, error) {
+	var logged struct {
+		SessionSpec
+		Scenario scenario.Params `json:"scenario"`
+		Tracker  *core.Config    `json:"tracker"`
+	}
+	if err := json.Unmarshal(b, &logged); err != nil {
+		return SessionSpec{}, err
+	}
+	spec, p, cfg := logged.SessionSpec, logged.Scenario.WithDefaults(), logged.Tracker
+	if spec.Cell == nil && cfg != nil {
+		ax := cellspec.Axes{
+			Algo: "cdpf", Density: p.Density, Seed: p.Seed, Steps: p.Steps, Dt: p.Dt, SigmaN: p.SigmaN,
+			Fail: p.FailFraction, Sleep: p.SleepFraction,
+			SensorFault: p.SensorFault.Kind.String(), SensorFaultFrac: p.SensorFault.Fraction,
+			SensorFaultMag: p.SensorFault.Magnitude, Hardened: "off",
+		}
+		if cfg.UseNE {
+			ax.Algo = "cdpf-ne"
+		}
+		sp, serr := ax.ScenarioParams()
+		tc, terr := ax.TrackerConfig()
+		if serr != nil || terr != nil || sp != p || !reflect.DeepEqual(tc, *cfg) {
+			return SessionSpec{}, fmt.Errorf("legacy scenario/tracker spec has no equivalent cell")
+		}
+		spec.Cell = &ax
+	}
+	return spec.normalize(), nil
 }
 
 // Measurement is one node's bearing observation, the wire form of

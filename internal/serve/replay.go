@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/durable"
@@ -21,10 +20,6 @@ func Replay(rec *durable.Recovery, id string) (*trace.Recorder, error) {
 		known = append(known, rec.Order...)
 		return nil, fmt.Errorf("serve: no session %q in the WAL (have %v)", id, known)
 	}
-	var spec SessionSpec
-	if err := json.Unmarshal(log.SpecJSON, &spec); err != nil {
-		return nil, fmt.Errorf("serve: logged spec for %q: %w", id, err)
-	}
 	// A migrated-in session's log starts at its import record's handoff
 	// snapshot: restore from it (its Records carry the pre-migration trace,
 	// so the replay still reproduces the full run) and step the tail.
@@ -33,15 +28,12 @@ func Replay(rec *durable.Recovery, id string) (*trace.Recorder, error) {
 	if log.Base != nil {
 		s, err = restoreSession(id, 0, log.Base)
 	} else {
-		s, err = newSession(id, 0, spec.normalize())
+		s, err = loggedSession(id, 0, log.SpecJSON)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := trace.New("cdpf", spec.Scenario.Density, spec.Scenario.Seed)
-	if s.spec.Tracker.UseNE {
-		out.Algo = "cdpf-ne"
-	}
+	out := trace.New(s.spec.Cell.Algo, s.sc.P.Density, s.sc.P.Seed)
 	if log.Base != nil {
 		out.Records = append(out.Records, log.Base.Records...)
 	}

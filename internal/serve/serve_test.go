@@ -6,13 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/scenario"
+	cellspec "repro/internal/spec"
 	"repro/internal/trace"
 )
 
 // testSpec is a small, fast session: density 10, 10 filter iterations.
 func testSpec(id string, seed uint64) SessionSpec {
-	return SessionSpec{ID: id, Scenario: scenario.Default(10, seed)}
+	return SessionSpec{ID: id, Cell: &cellspec.Axes{Algo: "cdpf", Density: 10, Seed: seed}}
 }
 
 // feedAll ingests every batch of a spec one iteration at a time, waiting for
@@ -169,17 +169,11 @@ func TestCreateValidation(t *testing.T) {
 	m := NewManager(ManagerConfig{Shards: 1})
 	defer m.Drain()
 
-	// Invalid scenario (negative density) surfaces scenario.Build's error.
-	bad := SessionSpec{Scenario: scenario.Default(-5, 1)}
+	// Invalid scenario (negative density) surfaces the cell's validation.
+	bad := testSpec("bad", 1)
+	bad.Cell.Density = -5
 	if _, err := m.Create(bad); err == nil {
 		t.Fatal("negative density accepted")
-	}
-	// Invalid tracker config surfaces core's validation.
-	spec := testSpec("cfg", 1)
-	spec = spec.normalize()
-	spec.Tracker.DropFraction = 2
-	if _, err := m.Create(spec); err == nil {
-		t.Fatal("invalid tracker config accepted")
 	}
 	// Duplicate ID.
 	if _, err := m.Create(testSpec("dup", 1)); err != nil {
@@ -191,7 +185,7 @@ func TestCreateValidation(t *testing.T) {
 		t.Fatalf("duplicate create: %v", err)
 	}
 	// Server-assigned IDs.
-	s, err := m.Create(SessionSpec{Scenario: scenario.Default(10, 9)})
+	s, err := m.Create(testSpec("", 9))
 	if err != nil {
 		t.Fatal(err)
 	}

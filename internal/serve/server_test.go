@@ -14,6 +14,15 @@ import (
 	"repro/internal/trace"
 )
 
+// legacySpecBodies are create bodies in the retired scenario/tracker
+// spelling, plus the empty spec: every one lacks a cell.
+var legacySpecBodies = []string{
+	`{"scenario":{"Density":10,"Seed":1}}`,
+	`{"use_ne":true}`,
+	`{"tracker":{"DropFraction":0.3}}`,
+	`{}`,
+}
+
 // newTestServer boots a full HTTP stack on a test listener.
 func newTestServer(t *testing.T, cfg ManagerConfig) (*httptest.Server, *Manager) {
 	t.Helper()
@@ -197,12 +206,24 @@ func TestHTTPErrorsAndStatusCodes(t *testing.T) {
 		t.Fatalf("unknown-field spec = %d, want 400", resp3.StatusCode)
 	}
 
-	// Invalid scenario parameters: validated via scenario.Build.
+	// Invalid cell parameters: validated via the cell.
 	bad := testSpec("bad", 1)
-	bad.Scenario.Density = -4
+	bad.Cell.Density = -4
 	resp4, body := postJSON(t, ts.URL+"/v1/sessions", bad)
 	if resp4.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid scenario = %d %s, want 400", resp4.StatusCode, body)
+		t.Fatalf("invalid cell = %d %s, want 400", resp4.StatusCode, body)
+	}
+
+	// Legacy scenario/tracker bodies and cell-less specs: 400.
+	for _, legacy := range legacySpecBodies {
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(legacy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec %s = %d, want 400", legacy, resp.StatusCode)
+		}
 	}
 }
 

@@ -54,46 +54,34 @@ type session struct {
 	done    bool
 }
 
-// buildSession resolves a normalized SessionSpec into the scenario, tracker
-// configuration, fault schedule, and algorithm label. It is the one
+// buildSession resolves a normalized SessionSpec's cell into the scenario,
+// tracker configuration, fault schedule, and algorithm label. It is the one
 // constructor behind newSession, OfflineTrace, and Observations, so a served
-// session and its offline twin cannot drift apart — whichever way the spec
-// is spelled (Scenario/Tracker fields or a declarative cell).
+// session and its offline twin cannot drift apart.
 func buildSession(sp SessionSpec) (*scenario.Scenario, core.Config, *wsn.FaultSchedule, string, error) {
 	fail := func(err error) (*scenario.Scenario, core.Config, *wsn.FaultSchedule, string, error) {
 		return nil, core.Config{}, nil, "", err
 	}
-	if sp.Cell != nil {
-		if sp.Tracker != nil || sp.UseNE || sp.Scenario != (scenario.Params{}) {
-			return fail(fmt.Errorf("serve: cell and scenario/tracker fields are mutually exclusive"))
-		}
-		ax := *sp.Cell
-		if err := ax.Validate(); err != nil {
-			return fail(err)
-		}
-		if !ax.IsCDPF() || ax.Duty > 0 || ax.Mobility > 0 || ax.Targets > 1 {
-			return fail(fmt.Errorf("serve: cell not serveable: sessions run algo cdpf or cdpf-ne with duty 0, mobility 0, targets 1 (got algo %s, duty %v, mobility %v, targets %d)",
-				ax.Algo, ax.Duty, ax.Mobility, ax.Targets))
-		}
-		sc, faults, err := ax.Build()
-		if err != nil {
-			return fail(err)
-		}
-		cfg, err := ax.TrackerConfig()
-		if err != nil {
-			return fail(err)
-		}
-		return sc, cfg, faults, ax.Algo, nil
+	if sp.Cell == nil {
+		return fail(fmt.Errorf("serve: session spec needs a cell"))
 	}
-	sc, err := scenario.Build(sp.Scenario)
+	ax := *sp.Cell
+	if err := ax.Validate(); err != nil {
+		return fail(err)
+	}
+	if !ax.IsCDPF() || ax.Duty > 0 || ax.Mobility > 0 || ax.Targets > 1 {
+		return fail(fmt.Errorf("serve: cell not serveable: sessions run algo cdpf or cdpf-ne with duty 0, mobility 0, targets 1 (got algo %s, duty %v, mobility %v, targets %d)",
+			ax.Algo, ax.Duty, ax.Mobility, ax.Targets))
+	}
+	sc, faults, err := ax.Build()
 	if err != nil {
 		return fail(err)
 	}
-	algo := "cdpf"
-	if sp.Tracker.UseNE {
-		algo = "cdpf-ne"
+	cfg, err := ax.TrackerConfig()
+	if err != nil {
+		return fail(err)
 	}
-	return sc, *sp.Tracker, wsn.NewFaultSchedule(), algo, nil
+	return sc, cfg, faults, ax.Algo, nil
 }
 
 // newSession builds the scenario and tracker for a normalized spec. The
@@ -116,6 +104,23 @@ func newSession(id string, shard int, spec SessionSpec) (*session, error) {
 		id: id, shard: shard, spec: spec, specJSON: specJSON,
 		sc: sc, tr: tr, rng: sc.RNG(1), faults: faults,
 	}, nil
+}
+
+// loggedSession builds a fresh session from logged spec bytes (a WAL create
+// record or a snapshot), keeping the bytes verbatim: future snapshots must
+// keep matching the WAL create record even if the decoded spec would
+// re-marshal differently (a legacy record always does).
+func loggedSession(id string, shard int, specJSON []byte) (*session, error) {
+	spec, err := decodeSpec(specJSON)
+	if err != nil {
+		return nil, fmt.Errorf("serve: logged spec for %q: %w", id, err)
+	}
+	s, err := newSession(id, shard, spec)
+	if err != nil {
+		return nil, err
+	}
+	s.specJSON = specJSON
+	return s, nil
 }
 
 // snapshot captures the session's complete durable state. Tracker, RNG, and
@@ -145,17 +150,10 @@ func (s *session) snapshot() *durable.Snapshot {
 // steps are bit-identical to the crashed process's. The caller has already
 // verified the snapshot's spec bytes match the WAL's create record.
 func restoreSession(id string, shard int, snap *durable.Snapshot) (*session, error) {
-	var spec SessionSpec
-	if err := json.Unmarshal(snap.SpecJSON, &spec); err != nil {
-		return nil, fmt.Errorf("serve: snapshot spec for %q: %w", id, err)
-	}
-	s, err := newSession(id, shard, spec.normalize())
+	s, err := loggedSession(id, shard, snap.SpecJSON)
 	if err != nil {
 		return nil, err
 	}
-	// Keep the admitted bytes verbatim: future snapshots must keep matching
-	// the WAL create record even if JSON re-marshaling ever drifted.
-	s.specJSON = snap.SpecJSON
 	if err := s.tr.RestoreState(snap.Tracker); err != nil {
 		return nil, err
 	}

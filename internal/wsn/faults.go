@@ -13,8 +13,8 @@ import (
 // not express: nodes dying mid-run, links blacking out for a while, whole
 // regions going dark. A FaultSchedule is a time-ordered script of such
 // events that a driver replays against the network as simulated time
-// advances — lock-step experiment loops call ApplyUntil before each filter
-// iteration, and sim.Session schedules the event times on its event engine.
+// advances — the tracking loops call ApplyUntil before each filter
+// iteration.
 //
 // Faults drive Node.State: a fail-stopped node is Failed forever; a node
 // under a transient outage is Failed until the outage ends, then returns to
