@@ -261,8 +261,6 @@ type (
 	Kalman = filter.Kalman
 	// EKF is the extended Kalman filter with scalar sequential updates.
 	EKF = filter.EKF
-	// KLDConfig adapts particle counts via KLD-sampling.
-	KLDConfig = filter.KLDConfig
 	// APF is an auxiliary (look-ahead) particle filter.
 	APF = filter.APF
 	// APFConfig parameterizes an APF.

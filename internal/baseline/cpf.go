@@ -20,77 +20,22 @@ import (
 
 // CPFConfig parameterizes the centralized baseline.
 type CPFConfig struct {
-	N      int                  // particle count (paper: 1000)
 	Dt     float64              // filter period (paper: 5 s)
 	Sensor statex.BearingSensor // measurement model
 	Sizes  wsn.MsgSizes
-	// SigmaV is the process-noise standard deviation the filter assumes for
-	// the CV proposal (paper: 0.05).
-	SigmaV float64
-	// InitSpread is the stddev of the initial particle cloud around the
-	// first detection centroid.
-	InitSpread float64
-	// MaxSpeed bounds the speed prior for initial velocities.
-	MaxSpeed float64
-	// Jitter is the post-prediction position roughening stddev (m), the
-	// standard regularized-PF defence against sample impoverishment. 0
-	// defaults to 1 m; negative disables.
-	Jitter float64
-	// VelJitter is the velocity roughening stddev (m/s); the paper's
-	// process noise (0.05 m/s) cannot follow the ±15°/s maneuvering
-	// target. 0 defaults to 0.5 m/s; negative disables.
-	VelJitter float64
-	// TemperCount caps the effective number of independent bearings in the
-	// joint likelihood: with M >= TemperCount measurements the joint
-	// log-likelihood is scaled by TemperCount/M (a log opinion pool).
-	// Dozens of bearings of the same target are strongly correlated;
-	// treating them as independent makes the posterior so sharp that a
-	// 1000-particle SIR collapses to a single sample per iteration and the
-	// velocity marginal never converges. 0 defaults to 5; negative
-	// disables tempering.
-	TemperCount int
-	// AnchorFraction is the share of particles proposed from the
-	// measurement-anchored importance density q(x_k | x_{k-1}, z_k): the
-	// sink knows every reporting node's position, and their centroid
-	// estimates the target within ~r_s/sqrt(M); anchored particles draw
-	// their position around that centroid and derive their velocity from
-	// the realized displacement. Without this, the prior proposal cannot
-	// cover the maneuvering target and the filter diverges (bearings-only
-	// SIR with a near-deterministic CV prior is a known divergence case).
-	// 0 defaults to 0.3; negative disables.
-	AnchorFraction float64
-	// AnchorSpread is the stddev (m) of anchored position proposals around
-	// the reporting-node centroid. 0 defaults to 3.
-	AnchorSpread float64
-	// KLD, when non-nil, adapts the particle count each iteration with
-	// KLD-sampling (Fox 2003) instead of keeping it fixed at N — the
-	// related-work sample-size adaptation, available as an ablation.
-	KLD *filter.KLDConfig
 }
 
 // DefaultCPFConfig returns the paper's CPF configuration.
 func DefaultCPFConfig() CPFConfig {
 	return CPFConfig{
-		N:              1000,
-		Dt:             5,
-		Sensor:         statex.BearingSensor{SigmaN: 0.05},
-		Sizes:          wsn.PaperMsgSizes(),
-		SigmaV:         0.05,
-		InitSpread:     5,
-		MaxSpeed:       5,
-		Jitter:         1,
-		VelJitter:      0.5,
-		TemperCount:    5,
-		AnchorFraction: 0.3,
-		AnchorSpread:   3,
+		Dt:     5,
+		Sensor: statex.BearingSensor{SigmaN: 0.05},
+		Sizes:  wsn.PaperMsgSizes(),
 	}
 }
 
 // withDefaults validates and fills zero fields.
 func (cfg CPFConfig) withDefaults() (CPFConfig, error) {
-	if cfg.N <= 0 {
-		return cfg, fmt.Errorf("baseline: particle count %d must be positive", cfg.N)
-	}
 	if cfg.Dt <= 0 {
 		return cfg, fmt.Errorf("baseline: Dt %v must be positive", cfg.Dt)
 	}
@@ -99,27 +44,6 @@ func (cfg CPFConfig) withDefaults() (CPFConfig, error) {
 	}
 	if cfg.Sizes == (wsn.MsgSizes{}) {
 		cfg.Sizes = wsn.PaperMsgSizes()
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = 1
-	}
-	if cfg.VelJitter == 0 {
-		cfg.VelJitter = 0.5
-	}
-	if cfg.TemperCount == 0 {
-		cfg.TemperCount = 5
-	}
-	if cfg.AnchorFraction == 0 {
-		cfg.AnchorFraction = 0.3
-	}
-	if cfg.AnchorFraction < 0 {
-		cfg.AnchorFraction = 0
-	}
-	if cfg.AnchorFraction > 1 {
-		return cfg, fmt.Errorf("baseline: anchor fraction %v above 1", cfg.AnchorFraction)
-	}
-	if cfg.AnchorSpread == 0 {
-		cfg.AnchorSpread = 3
 	}
 	return cfg, nil
 }

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -11,36 +10,31 @@ import (
 )
 
 // DPFConfig parameterizes the compressed-convergecast baseline (Coates,
-// IPSN 2004, as analyzed in Section II-B): measurements are quantized to P
-// bytes before being routed to the computational center, and the adaptive
-// encoder's parameters flow backward to the sources each iteration, so the
-// total data volume shrinks while the number of messages stays equal to or
-// above CPF's.
+// IPSN 2004, as analyzed in Section II-B): measurements are quantized to
+// dpfBytes bytes before being routed to the computational center, and the
+// adaptive encoder's parameters flow backward to the sources each
+// iteration, so the total data volume shrinks while the number of messages
+// stays equal to or above CPF's.
 type DPFConfig struct {
 	// Sink is the CPF configuration of the center filter.
 	Sink CPFConfig
-	// P is the compressed measurement size in bytes (Table I's P; paper
-	// assumes P << Dm). 0 defaults to 1 (8-bit adaptive encoding, bearing
-	// resolution 2π/256 ≈ 0.025 rad ≈ 0.5σ).
-	P int
-	// ParamExchange enables the backward per-iteration parameter message
-	// to each reporting node (the "backward parameter exchange" that makes
-	// DPF's message count no lower than CPF's). Default true; set via
-	// NoParamExchange.
-	NoParamExchange bool
 }
+
+// dpfBytes is the compressed measurement size (Table I's P; the paper
+// assumes P << Dm): 8-bit adaptive encoding, bearing resolution
+// 2π/256 ≈ 0.025 rad ≈ 0.5σ.
+const dpfBytes = 1
 
 // DefaultDPFConfig returns the evaluation configuration with 1-byte
 // quantized bearings.
 func DefaultDPFConfig() DPFConfig {
-	return DPFConfig{Sink: DefaultCPFConfig(), P: 1}
+	return DPFConfig{Sink: DefaultCPFConfig()}
 }
 
-// DPF is the compressed centralized filter: CPF with P-byte quantized
+// DPF is the compressed centralized filter: CPF with dpfBytes-byte quantized
 // bearings and backward parameter-exchange traffic.
 type DPF struct {
 	nw     *wsn.Network
-	cfg    DPFConfig
 	sink   wsn.NodeID
 	hops   *wsn.HopTable
 	f      *sinkFilter
@@ -50,30 +44,22 @@ type DPF struct {
 
 // NewDPF validates the configuration and builds the sink's hop table.
 func NewDPF(nw *wsn.Network, cfg DPFConfig) (*DPF, error) {
-	if cfg.P == 0 {
-		cfg.P = 1
-	}
-	if cfg.P < 1 || cfg.P > 8 {
-		return nil, fmt.Errorf("baseline: DPF compressed size %d outside [1,8] bytes", cfg.P)
-	}
 	c, err := cfg.Sink.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Sink = c
 	f, err := newSinkFilter(c)
 	if err != nil {
 		return nil, err
 	}
-	// Quantizing the bearing to 8P bits over (-pi, pi] adds uniform noise
-	// of variance qStep²/12 on top of the sensor noise.
-	levels := math.Pow(2, float64(8*cfg.P))
+	// Quantizing the bearing to 8·dpfBytes bits over (-pi, pi] adds uniform
+	// noise of variance qStep²/12 on top of the sensor noise.
+	levels := math.Pow(2, float64(8*dpfBytes))
 	qStep := 2 * math.Pi / levels
 	sigmaQ := math.Sqrt(c.Sensor.SigmaN*c.Sensor.SigmaN + qStep*qStep/12)
 	sink := nw.NearestNode(nw.Center())
 	return &DPF{
 		nw:     nw,
-		cfg:    cfg,
 		sink:   sink,
 		hops:   nw.BuildHopTable(sink),
 		f:      f,
@@ -99,14 +85,12 @@ func (d *DPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok b
 		if !d.nw.Node(o.Node).Active() {
 			continue
 		}
-		if _, reachable := d.nw.RouteBytes(d.hops, o.Node, wsn.MsgMeasurement, d.cfg.P); !reachable {
+		if _, reachable := d.nw.RouteBytes(d.hops, o.Node, wsn.MsgMeasurement, dpfBytes); !reachable {
 			continue
 		}
 		// Backward parameter exchange: the encoder model parameters flow
 		// from the center back to the source over the same route.
-		if !d.cfg.NoParamExchange {
-			d.nw.RouteBytes(d.hops, o.Node, wsn.MsgControl, d.cfg.P)
-		}
+		d.nw.RouteBytes(d.hops, o.Node, wsn.MsgControl, dpfBytes)
 		ms = append(ms, statex.Measurement{
 			From:    d.nw.Node(o.Node).Pos,
 			Bearing: d.Quantize(o.Bearing),

@@ -19,17 +19,15 @@ type EKFConfig struct {
 	Dt     float64
 	Sensor statex.BearingSensor
 	Sizes  wsn.MsgSizes
-	// SigmaMan is the maneuver process noise (velocity stddev per step,
-	// m/s) the filter assumes; it must cover the target's random turns.
-	// 0 defaults to 1.
-	SigmaMan float64
-	// InitSpeed seeds the velocity uncertainty (m/s). 0 defaults to 3.
-	InitSpeed float64
-	// MaxUpdates caps how many bearings are sequentially absorbed per
-	// iteration (the nearest ones first would need sorting; we take the
-	// delivery order). 0 means all.
-	MaxUpdates int
 }
+
+const (
+	// ekfSigmaMan is the maneuver process noise (velocity stddev per step,
+	// m/s) the filter assumes; it must cover the target's random turns.
+	ekfSigmaMan = 1.0
+	// ekfInitSpeed seeds the velocity uncertainty (m/s).
+	ekfInitSpeed = 3.0
+)
 
 // DefaultEKFConfig returns the evaluation configuration.
 func DefaultEKFConfig() EKFConfig {
@@ -62,12 +60,6 @@ func NewEKFTracker(nw *wsn.Network, cfg EKFConfig) (*EKFTracker, error) {
 	}
 	if cfg.Sizes == (wsn.MsgSizes{}) {
 		cfg.Sizes = wsn.PaperMsgSizes()
-	}
-	if cfg.SigmaMan == 0 {
-		cfg.SigmaMan = 1
-	}
-	if cfg.InitSpeed == 0 {
-		cfg.InitSpeed = 3
 	}
 	sink := nw.NearestNode(nw.Center())
 	return &EKFTracker{
@@ -106,11 +98,7 @@ func (e *EKFTracker) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec
 		return e.kf.PosEstimate(), true
 	}
 	e.kf.Predict()
-	limit := len(ms)
-	if e.cfg.MaxUpdates > 0 && limit > e.cfg.MaxUpdates {
-		limit = e.cfg.MaxUpdates
-	}
-	for _, m := range ms[:limit] {
+	for _, m := range ms {
 		e.updateBearing(m)
 	}
 	// Divergence guard: the detection centroid bounds the target within the
@@ -166,11 +154,11 @@ func (e *EKFTracker) initialize(ms []statex.Measurement) error {
 		centroid = centroid.Add(m.From)
 	}
 	centroid = centroid.Scale(1 / float64(len(ms)))
-	model, err := statex.NewCVModel(e.cfg.Dt, e.cfg.SigmaMan, e.cfg.SigmaMan)
+	model, err := statex.NewCVModel(e.cfg.Dt, ekfSigmaMan, ekfSigmaMan)
 	if err != nil {
 		return err
 	}
-	p0 := mathx.Diag(25, 25, e.cfg.InitSpeed*e.cfg.InitSpeed, e.cfg.InitSpeed*e.cfg.InitSpeed)
+	p0 := mathx.Diag(25, 25, ekfInitSpeed*ekfInitSpeed, ekfInitSpeed*ekfInitSpeed)
 	kf, err := filter.NewEKF(model.Phi, model.ProcessCov(), []float64{centroid.X, centroid.Y, 0, 0}, p0)
 	if err != nil {
 		return err

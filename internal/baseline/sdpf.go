@@ -14,32 +14,31 @@ import (
 
 // SDPFConfig parameterizes the semi-distributed baseline (Coates & Ing,
 // "Sensor network particle filters: motes as particles", SSP 2005, as
-// modelled in Section II-B of the CDPF paper).
+// modelled in Section II-B of the CDPF paper). Each particle's predicted
+// area has the network's sensing radius, and the bearing likelihood
+// inflates the noise for node-position quantization exactly as the CDPF
+// tracker does (core.DensityQuantSigma).
 type SDPFConfig struct {
-	// ParticlesPerNode is the number of particles seeded on each initially
-	// detecting node (the paper's Fig. 5 discussion mentions eight).
-	ParticlesPerNode int
-	Dt               float64
-	Sensor           statex.BearingSensor
-	Sizes            wsn.MsgSizes
-	// PredictRadius is the per-particle predicted-area radius used when
-	// sampling the next host node; 0 defaults to the sensing radius.
-	PredictRadius float64
-	// QuantSigma inflates the bearing noise for node-position quantization,
-	// mirroring the CDPF tracker; 0 derives it from the deployment density.
-	QuantSigma float64
-	// VelSmoothing blends hop displacement with the previous velocity, as
-	// in the CDPF tracker. 0 defaults to 0.5; -1 disables.
-	VelSmoothing float64
+	Dt     float64
+	Sensor statex.BearingSensor
+	Sizes  wsn.MsgSizes
 }
+
+const (
+	// particlesPerNode is the number of particles seeded on each initially
+	// detecting node (the paper's Fig. 5 discussion mentions eight).
+	particlesPerNode = 8
+	// sdpfVelSmoothing blends hop displacement with the previous velocity,
+	// as the CDPF tracker's default VelSmoothing does.
+	sdpfVelSmoothing = 0.5
+)
 
 // DefaultSDPFConfig returns the evaluation configuration.
 func DefaultSDPFConfig() SDPFConfig {
 	return SDPFConfig{
-		ParticlesPerNode: 8,
-		Dt:               5,
-		Sensor:           statex.BearingSensor{SigmaN: 0.05},
-		Sizes:            wsn.PaperMsgSizes(),
+		Dt:     5,
+		Sensor: statex.BearingSensor{SigmaN: 0.05},
+		Sizes:  wsn.PaperMsgSizes(),
 	}
 }
 
@@ -56,18 +55,16 @@ type sdParticle struct {
 // aggregation goes through a global transceiver assumed one hop from every
 // node (charged as unicasts plus two aggregate broadcasts per iteration).
 type SDPF struct {
-	nw    *wsn.Network
-	cfg   SDPFConfig
-	parts []sdParticle
-	nTot  int // fixed particle budget once initialized
-	init  bool
+	nw         *wsn.Network
+	cfg        SDPFConfig
+	quantSigma float64 // core.DensityQuantSigma of the network
+	parts      []sdParticle
+	nTot       int // fixed particle budget once initialized
+	init       bool
 }
 
 // NewSDPF validates the configuration.
 func NewSDPF(nw *wsn.Network, cfg SDPFConfig) (*SDPF, error) {
-	if cfg.ParticlesPerNode <= 0 {
-		return nil, fmt.Errorf("baseline: SDPF particles-per-node %d must be positive", cfg.ParticlesPerNode)
-	}
 	if cfg.Dt <= 0 {
 		return nil, fmt.Errorf("baseline: SDPF Dt %v must be positive", cfg.Dt)
 	}
@@ -77,22 +74,7 @@ func NewSDPF(nw *wsn.Network, cfg SDPFConfig) (*SDPF, error) {
 	if cfg.Sizes == (wsn.MsgSizes{}) {
 		cfg.Sizes = wsn.PaperMsgSizes()
 	}
-	if cfg.PredictRadius == 0 {
-		cfg.PredictRadius = nw.Cfg.SensingRadius
-	}
-	if cfg.QuantSigma == 0 {
-		perM2 := nw.Density() / 100
-		if perM2 > 0 {
-			cfg.QuantSigma = 0.5 / math.Sqrt(perM2)
-		}
-	}
-	if cfg.VelSmoothing == 0 {
-		cfg.VelSmoothing = 0.5
-	}
-	if cfg.VelSmoothing < 0 {
-		cfg.VelSmoothing = 0
-	}
-	return &SDPF{nw: nw, cfg: cfg}, nil
+	return &SDPF{nw: nw, cfg: cfg, quantSigma: core.DensityQuantSigma(nw)}, nil
 }
 
 // NumParticles returns the current particle count (N_s).
@@ -137,8 +119,8 @@ func (s *SDPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok 
 		p := s.parts[i]
 		hostPos := s.nw.Node(p.host).Pos
 		center := hostPos.Add(p.vel.Scale(s.cfg.Dt))
-		area := cluster.PredictedArea{Center: center, Radius: s.cfg.PredictRadius}
-		cand := s.nw.ActiveNodesWithin(center, s.cfg.PredictRadius)
+		area := cluster.PredictedArea{Center: center, Radius: s.nw.Cfg.SensingRadius}
+		cand := s.nw.ActiveNodesWithin(center, s.nw.Cfg.SensingRadius)
 		// The new host must be able to receive the propagation broadcast.
 		reachable := cand[:0]
 		for _, id := range cand {
@@ -160,7 +142,7 @@ func (s *SDPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok 
 			next = reachable[rng.Categorical(weights)]
 		}
 		hop := s.nw.Node(next).Pos.Sub(hostPos).Scale(1 / s.cfg.Dt)
-		p.vel = hop.Lerp(p.vel, s.cfg.VelSmoothing)
+		p.vel = hop.Lerp(p.vel, sdpfVelSmoothing)
 		p.host = next
 		survivors = append(survivors, p)
 	}
@@ -270,12 +252,12 @@ func (s *SDPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok 
 // log-likelihood.
 func (s *SDPF) bearingLL(from mathx.Vec2, z float64, cand mathx.Vec2) float64 {
 	sigma := s.cfg.Sensor.SigmaN
-	if s.cfg.QuantSigma > 0 {
+	if s.quantSigma > 0 {
 		d := from.Dist(cand)
 		if d < 1 {
 			d = 1
 		}
-		q := s.cfg.QuantSigma / d
+		q := s.quantSigma / d
 		sigma = math.Sqrt(sigma*sigma + q*q)
 	}
 	pred := cand.Sub(from).Angle()
@@ -296,7 +278,7 @@ func (s *SDPF) overlapsDetections(obsByNode map[wsn.NodeID]float64) bool {
 	return false
 }
 
-// initialize seeds ParticlesPerNode particles on every detecting node with a
+// initialize seeds particlesPerNode particles on every detecting node with a
 // diffuse velocity prior and uniform weights, fixing the particle budget.
 func (s *SDPF) initialize(obs []core.Observation, rng *mathx.RNG) {
 	s.parts = s.parts[:0]
@@ -304,7 +286,7 @@ func (s *SDPF) initialize(obs []core.Observation, rng *mathx.RNG) {
 		if !s.nw.Node(o.Node).Active() {
 			continue
 		}
-		for j := 0; j < s.cfg.ParticlesPerNode; j++ {
+		for j := 0; j < particlesPerNode; j++ {
 			vel := mathx.Polar(rng.Uniform(0, 5), rng.Uniform(-math.Pi, math.Pi))
 			s.parts = append(s.parts, sdParticle{host: o.Node, vel: vel, w: 1})
 		}

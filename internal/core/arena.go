@@ -109,7 +109,7 @@ func (s *particleStore) sorted() []wsn.NodeID {
 	return s.ids
 }
 
-// holderWeight pairs a holder with its weight for the MaxHolders cap sort.
+// holderWeight pairs a holder with its weight for the maxHolders cap sort.
 type holderWeight struct {
 	id wsn.NodeID
 	w  float64
@@ -186,7 +186,7 @@ type scratch struct {
 	ms    []statex.Measurement
 	norms []float64
 
-	// byWeight buffers the MaxHolders cap sort.
+	// byWeight buffers the maxHolders cap sort.
 	byWeight []holderWeight
 }
 

@@ -37,31 +37,17 @@ type Config struct {
 	Sensor statex.BearingSensor
 	// Dt is the filter iteration period in seconds (paper: 5).
 	Dt float64
-	// PredictRadius is the radius of predicted/estimation areas; 0 means
-	// the network's sensing radius (Definition 1).
-	PredictRadius float64
-	// RecordThreshold is the minimum linear-probability value a neighbor
-	// needs to record propagated particles ("only those that are highly
-	// likely to detect the target record the particles"). 0 defaults to 0.3.
-	RecordThreshold float64
-	// DropFraction controls the correction-step resampling analog: a
-	// particle whose normalized weight falls below DropFraction divided by
-	// the particle count is dropped. 0 defaults to 0.3.
-	DropFraction float64
 	// UseNE selects the CDPF-NE variant (neighborhood estimation instead of
 	// measurement sharing + likelihood).
 	UseNE bool
-	// InitWeight is the weight given to brand-new particles when no other
-	// particles exist (paper: "configured as a constant"). 0 defaults to 1.
-	InitWeight float64
 	// QuantSigma models the positional uncertainty introduced by
 	// constraining particles to node positions (Section III-A: "this may
 	// increase the estimation error ... bounded by the sensing radius").
 	// The likelihood step inflates the bearing noise by QuantSigma/d for a
 	// measurement taken at distance d, so a particle half an internode
 	// spacing away from the truth is not annihilated. 0 derives the value
-	// from the deployment density (half the mean internode spacing);
-	// negative disables the inflation.
+	// from the deployment density (DensityQuantSigma); negative disables
+	// the inflation.
 	QuantSigma float64
 	// PerParticleAreas selects the propagation-target geometry. The default
 	// (false) uses one shared predicted area centered at the consistently
@@ -83,12 +69,6 @@ type Config struct {
 	// paper's signal-strength-adaptive weighting). 0 defaults to 1000;
 	// set to 1 to disable (pure Definition 2 weighting).
 	NEDetectBoost float64
-	// MaxHolders bounds the number of particle-holding nodes (Section III-A
-	// observes that N_s "is controllable"): after propagation, only the
-	// MaxHolders heaviest particles survive. This keeps the population from
-	// growing without bound while the filter coasts with no measurements
-	// (e.g. after the target leaves the field). 0 defaults to 256.
-	MaxHolders int
 
 	// Graceful degradation under faults (DESIGN.md, "Fault model &
 	// degradation behavior"). All three knobs leave the fault-free paper
@@ -97,12 +77,9 @@ type Config struct {
 	// Rebroadcasts is the maximum number of retry transmissions a holder
 	// makes when its propagated particle finds no recorder (the silent-drop
 	// path): each retry is charged like a normal propagation message and
-	// widens the recording distance by RebroadcastBackoff, announcing a
+	// widens the recording distance by rebroadcastBackoff, announcing a
 	// relaxed record threshold in the retry header. 0 disables (default).
 	Rebroadcasts int
-	// RebroadcastBackoff multiplies the maximum recording distance on each
-	// retry. 0 defaults to 1.5; values below 1 are invalid.
-	RebroadcastBackoff float64
 	// CompensateLoss makes each recorder extrapolate its overheard weight
 	// total when it detected in-range propagation traffic it failed to
 	// decode (a radio knows it lost a frame far more often than it knows
@@ -137,23 +114,15 @@ type Config struct {
 	// receiver), and recovered sensors are readmitted. Only meaningful for
 	// the CDPF likelihood path (CDPF-NE shares no measurements).
 	Quarantine bool
-	// QuarantineDevSigma is the normalized-residual threshold beyond which
-	// a sharer's reading counts as deviant for reputation scoring (the
-	// reading must also exceed twice the cohort's median residual). 0
-	// defaults to 3.
-	QuarantineDevSigma float64
 }
 
 // DefaultConfig returns the evaluation configuration of Section VI.
 func DefaultConfig(useNE bool) Config {
 	return Config{
-		Sizes:           wsn.PaperMsgSizes(),
-		Sensor:          statex.BearingSensor{SigmaN: 0.05},
-		Dt:              5,
-		RecordThreshold: 0.3,
-		DropFraction:    0.3,
-		UseNE:           useNE,
-		InitWeight:      1,
+		Sizes:  wsn.PaperMsgSizes(),
+		Sensor: statex.BearingSensor{SigmaN: 0.05},
+		Dt:     5,
+		UseNE:  useNE,
 	}
 }
 
@@ -168,37 +137,8 @@ func (c Config) withDefaults(nw *wsn.Network) (Config, error) {
 	if c.Sensor.SigmaN <= 0 {
 		return c, fmt.Errorf("core: sensor noise SigmaN must be positive, got %v", c.Sensor.SigmaN)
 	}
-	if c.PredictRadius == 0 {
-		c.PredictRadius = nw.Cfg.SensingRadius
-	}
-	if c.PredictRadius < 0 {
-		return c, fmt.Errorf("core: PredictRadius %v negative", c.PredictRadius)
-	}
-	if c.RecordThreshold == 0 {
-		c.RecordThreshold = 0.3
-	}
-	if c.RecordThreshold < 0 || c.RecordThreshold >= 1 {
-		return c, fmt.Errorf("core: RecordThreshold %v outside [0,1)", c.RecordThreshold)
-	}
-	if c.DropFraction == 0 {
-		c.DropFraction = 0.3
-	}
-	if c.DropFraction < 0 || c.DropFraction >= 1 {
-		return c, fmt.Errorf("core: DropFraction %v outside [0,1)", c.DropFraction)
-	}
-	if c.InitWeight == 0 {
-		c.InitWeight = 1
-	}
-	if c.InitWeight < 0 {
-		return c, fmt.Errorf("core: InitWeight %v negative", c.InitWeight)
-	}
 	if c.QuantSigma == 0 {
-		// Half the mean internode spacing for a Poisson field of the
-		// deployed density (density is per 100 m²).
-		perM2 := nw.Density() / 100
-		if perM2 > 0 {
-			c.QuantSigma = 0.5 / math.Sqrt(perM2)
-		}
+		c.QuantSigma = DensityQuantSigma(nw)
 	}
 	if c.QuantSigma < 0 {
 		c.QuantSigma = 0
@@ -218,20 +158,8 @@ func (c Config) withDefaults(nw *wsn.Network) (Config, error) {
 	if c.NEDetectBoost < 1 {
 		return c, fmt.Errorf("core: NEDetectBoost %v must be >= 1", c.NEDetectBoost)
 	}
-	if c.MaxHolders == 0 {
-		c.MaxHolders = 256
-	}
-	if c.MaxHolders < 1 {
-		return c, fmt.Errorf("core: MaxHolders %d must be positive", c.MaxHolders)
-	}
 	if c.Rebroadcasts < 0 || c.Rebroadcasts > 8 {
 		return c, fmt.Errorf("core: Rebroadcasts %d outside [0, 8]", c.Rebroadcasts)
-	}
-	if c.RebroadcastBackoff == 0 {
-		c.RebroadcastBackoff = 1.5
-	}
-	if c.RebroadcastBackoff < 1 {
-		return c, fmt.Errorf("core: RebroadcastBackoff %v must be >= 1", c.RebroadcastBackoff)
 	}
 	if c.Sensor.TailNu < 0 {
 		return c, fmt.Errorf("core: Sensor.TailNu %v negative (0 selects the Gaussian model)", c.Sensor.TailNu)
@@ -242,13 +170,20 @@ func (c Config) withDefaults(nw *wsn.Network) (Config, error) {
 	if c.GateSigma > 0 && c.GateSigma < 1 {
 		return c, fmt.Errorf("core: GateSigma %v below 1 would gate typical in-model residuals", c.GateSigma)
 	}
-	if c.QuarantineDevSigma == 0 {
-		c.QuarantineDevSigma = 3
-	}
-	if c.QuarantineDevSigma < 0 {
-		return c, fmt.Errorf("core: QuarantineDevSigma %v negative", c.QuarantineDevSigma)
-	}
 	return c, nil
+}
+
+// DensityQuantSigma is the positional uncertainty of constraining a
+// particle to a node position: half the mean internode spacing of a Poisson
+// field at the network's density (density is per 100 m²), or 0 for an empty
+// field. It is the derived QuantSigma of the CDPF tracker and of the SDPF
+// baseline.
+func DensityQuantSigma(nw *wsn.Network) float64 {
+	perM2 := nw.Density() / 100
+	if perM2 <= 0 {
+		return 0
+	}
+	return 0.5 / math.Sqrt(perM2)
 }
 
 // ResilientConfig returns DefaultConfig with the graceful-degradation

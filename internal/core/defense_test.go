@@ -16,7 +16,6 @@ func TestSensingDefenseConfigValidation(t *testing.T) {
 		func(c *core.Config) { c.GateSigma = -1 },
 		func(c *core.Config) { c.GateSigma = 0.5 }, // would gate in-model residuals
 		func(c *core.Config) { c.Sensor.TailNu = -2 },
-		func(c *core.Config) { c.QuarantineDevSigma = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := core.DefaultConfig(false)

@@ -132,7 +132,6 @@ func TestStepHostIndependence(t *testing.T) {
 			cfg: func() Config {
 				c := DefaultConfig(false)
 				c.Rebroadcasts = 2
-				c.RebroadcastBackoff = 1.3
 				c.CompensateLoss = true
 				return c
 			},

@@ -30,7 +30,7 @@ import (
 //	QUARANTINED ──consistent──▶ +quarRecovery ──...──▶ > quarExit: readmitted
 //
 // Scores clamp to [0, 1], and the penalty scales with the strength of the
-// evidence: a reading k·devSigma beyond consensus multiplies the score by
+// evidence: a reading k·quarDevSigma beyond consensus multiplies the score by
 // quarPenalty^k (capped at k = quarMaxStrength). A borderline deviant thus
 // needs two strikes to evict while a grossly deviant reading (≳5σ beyond the
 // consensus fix) evicts on sight — necessary because the target sweeps past
@@ -39,6 +39,10 @@ import (
 // A recovered (or unluckily evicted) sensor climbs back out through
 // consistent readings.
 const (
+	// quarDevSigma is the normalized-residual threshold beyond which a
+	// sharer's reading counts as deviant for reputation scoring (the reading
+	// must also exceed quarMedianSlack times the cohort's median residual).
+	quarDevSigma = 3.0
 	// quarPenalty multiplies a node's score on each deviant reading.
 	quarPenalty = 0.5
 	// quarRecovery is added to a node's score on each consistent reading.
@@ -64,7 +68,6 @@ const (
 
 // reputation tracks per-node sensing trust for one tracker instance.
 type reputation struct {
-	devSigma    float64
 	score       map[wsn.NodeID]float64
 	quarantined map[wsn.NodeID]bool
 	ever        map[wsn.NodeID]bool
@@ -79,10 +82,9 @@ type reputation struct {
 }
 
 // newReputation returns an empty reputation tracker flagging residuals
-// beyond devSigma effective sigmas.
-func newReputation(devSigma float64) *reputation {
+// beyond quarDevSigma effective sigmas.
+func newReputation() *reputation {
 	return &reputation{
-		devSigma:    devSigma,
 		score:       make(map[wsn.NodeID]float64),
 		quarantined: make(map[wsn.NodeID]bool),
 		ever:        make(map[wsn.NodeID]bool),
@@ -109,9 +111,9 @@ func (r *reputation) observe(ids []wsn.NodeID, normResid []float64) {
 		if !known {
 			s = 1
 		}
-		deviant := normResid[i] > r.devSigma && normResid[i] > quarMedianSlack*med
+		deviant := normResid[i] > quarDevSigma && normResid[i] > quarMedianSlack*med
 		if deviant {
-			strength := normResid[i] / r.devSigma
+			strength := normResid[i] / quarDevSigma
 			if strength > quarMaxStrength {
 				strength = quarMaxStrength
 			}

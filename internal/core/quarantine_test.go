@@ -7,9 +7,9 @@ import (
 )
 
 func TestReputationEvictsPersistentDeviant(t *testing.T) {
-	r := newReputation(3)
+	r := newReputation()
 	ids := []wsn.NodeID{1, 2, 3, 4, 5}
-	// Node 5 borderline deviant (just past devSigma); the rest consistent.
+	// Node 5 borderline deviant (just past quarDevSigma); the rest consistent.
 	// One strike halves the score; the second evicts.
 	resid := []float64{0.5, 0.8, 0.3, 0.6, 4}
 	for round := 0; round < 2; round++ {
@@ -35,7 +35,7 @@ func TestReputationEvictsGrossDeviantOnSight(t *testing.T) {
 	// A reading far beyond the consensus (here ~7σ) carries enough evidence
 	// to evict in a single round — cohorts turn over too fast for a faulty
 	// node to be guaranteed a second judgement.
-	r := newReputation(3)
+	r := newReputation()
 	r.observe([]wsn.NodeID{1, 2, 3, 4}, []float64{0.5, 0.8, 0.3, 20})
 	if !r.isQuarantined(4) {
 		t.Fatal("gross deviant not quarantined on first sighting")
@@ -46,7 +46,7 @@ func TestReputationEvictsGrossDeviantOnSight(t *testing.T) {
 }
 
 func TestReputationReadmitsRecoveredSensor(t *testing.T) {
-	r := newReputation(3)
+	r := newReputation()
 	ids := []wsn.NodeID{1, 2, 3, 4}
 	bad := []float64{0.5, 0.5, 0.5, 15}
 	for i := 0; i < 4; i++ {
@@ -76,7 +76,7 @@ func TestReputationReadmitsRecoveredSensor(t *testing.T) {
 func TestReputationMedianGuardsBadPrediction(t *testing.T) {
 	// When the shared prediction is off, every node shows a large residual;
 	// the median test must flag nobody.
-	r := newReputation(3)
+	r := newReputation()
 	ids := []wsn.NodeID{1, 2, 3, 4, 5}
 	allBig := []float64{12, 14, 11, 13, 15}
 	for i := 0; i < 6; i++ {
@@ -90,7 +90,7 @@ func TestReputationMedianGuardsBadPrediction(t *testing.T) {
 }
 
 func TestReputationIgnoresTinyCohorts(t *testing.T) {
-	r := newReputation(3)
+	r := newReputation()
 	for i := 0; i < 10; i++ {
 		r.observe([]wsn.NodeID{1, 2}, []float64{0.1, 50})
 	}

@@ -124,11 +124,11 @@ func (t *Tracker) RestoreState(st TrackerState) error {
 	case st.Quar == nil && t.quar == nil:
 	case st.Quar == nil:
 		// Quarantine configured but the state predates any scoring: reset.
-		t.quar = newReputation(t.cfg.QuarantineDevSigma)
+		t.quar = newReputation()
 	case t.quar == nil:
 		return fmt.Errorf("core: restore: state carries quarantine data but the tracker has quarantine disabled")
 	default:
-		q := newReputation(t.cfg.QuarantineDevSigma)
+		q := newReputation()
 		for _, s := range st.Quar.Scores {
 			if int(s.ID) < 0 || int(s.ID) >= n {
 				return fmt.Errorf("core: restore: scored node %d out of range [0, %d)", s.ID, n)

@@ -103,11 +103,11 @@ func randomBcasts(nw *wsn.Network, center mathx.Vec2, rng *mathx.RNG) []bcast {
 // and compares every output with the per-broadcast computation.
 func checkSweep(t *testing.T, tr *Tracker, bcasts []bcast, center mathx.Vec2) sweepCoverage {
 	t.Helper()
-	area := cluster.PredictedArea{Center: center, Radius: tr.cfg.PredictRadius}
+	area := cluster.PredictedArea{Center: center, Radius: tr.nw.Cfg.SensingRadius}
 	for i := range bcasts {
 		bcasts[i].area = area
 	}
-	maxDist := tr.cfg.PredictRadius * (1 - tr.cfg.RecordThreshold)
+	maxDist := tr.nw.Cfg.SensingRadius * (1 - recordThreshold)
 	tr.gatherBcastColumns(bcasts)
 	tr.sweepShared(center, maxDist)
 	sw := &tr.scr.sw

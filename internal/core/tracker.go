@@ -106,7 +106,7 @@ func NewTracker(nw *wsn.Network, cfg Config) (*Tracker, error) {
 		bk:     kernel.NewBearing(c.Sensor.SigmaN, c.Sensor.TailNu, c.QuantSigma, c.GateSigma),
 	}
 	if c.Quarantine {
-		t.quar = newReputation(c.QuarantineDevSigma)
+		t.quar = newReputation()
 	}
 	return t, nil
 }
@@ -218,8 +218,13 @@ func (t *Tracker) accountLock(estimateValid bool) {
 	t.iter++
 }
 
+// dropFraction sets the correction-step resampling analog (Section III-B's
+// low-weight drop rule): a particle whose normalized weight falls below
+// dropFraction divided by the particle count is dropped.
+const dropFraction = 0.3
+
 // pruneLowWeight removes particles whose normalized weight is below
-// DropFraction divided by the particle count, returning the number dropped.
+// dropFraction divided by the particle count, returning the number dropped.
 func (t *Tracker) pruneLowWeight() int {
 	if t.parts.len() == 0 {
 		return 0
@@ -232,7 +237,7 @@ func (t *Tracker) pruneLowWeight() int {
 	if total <= 0 {
 		return 0
 	}
-	threshold := t.cfg.DropFraction / float64(len(ids))
+	threshold := dropFraction / float64(len(ids))
 	dropped := 0
 	// Descending index scan so swap-with-last removal only disturbs slots
 	// already visited; no snapshot copy needed.
@@ -268,6 +273,24 @@ type bcast struct {
 	area cluster.PredictedArea
 }
 
+// Propagation constants. The radius of every predicted and estimation area
+// is the network's sensing radius (Definition 1).
+const (
+	// recordThreshold is the minimum linear-probability value a neighbor
+	// needs to record propagated particles ("only those that are highly
+	// likely to detect the target record the particles", Section III-B).
+	recordThreshold = 0.3
+	// maxHolders bounds the number of particle-holding nodes (Section III-A
+	// observes that N_s "is controllable"): after propagation, only the
+	// maxHolders heaviest particles survive. This keeps the population from
+	// growing without bound while the filter coasts with no measurements
+	// (e.g. after the target leaves the field).
+	maxHolders = 256
+	// rebroadcastBackoff multiplies the maximum recording distance on each
+	// Config.Rebroadcasts retry.
+	rebroadcastBackoff = 1.5
+)
+
 // propagate implements the prediction + correction phases.
 func (t *Tracker) propagate(res *StepResult) {
 	holders := t.parts.sorted()
@@ -286,7 +309,7 @@ func (t *Tracker) propagate(res *StepResult) {
 		center := pos.Add(vel.Scale(t.cfg.Dt))
 		bcasts = append(bcasts, bcast{
 			id: id, pos: pos, vel: vel, w: w,
-			area: cluster.PredictedArea{Center: center, Radius: t.cfg.PredictRadius},
+			area: cluster.PredictedArea{Center: center, Radius: t.nw.Cfg.SensingRadius},
 		})
 		totalW += w
 		sumPos = sumPos.Add(pos.Scale(w))
@@ -308,7 +331,7 @@ func (t *Tracker) propagate(res *StepResult) {
 	// position from the overheard broadcasts, so all particles propagate
 	// toward one shared predicted area (Fig. 1).
 	if !t.cfg.PerParticleAreas && res.PredictedValid {
-		shared := cluster.PredictedArea{Center: res.Predicted, Radius: t.cfg.PredictRadius}
+		shared := cluster.PredictedArea{Center: res.Predicted, Radius: t.nw.Cfg.SensingRadius}
 		for i := range bcasts {
 			bcasts[i].area = shared
 			bcasts[i].vel = velMean
@@ -319,7 +342,7 @@ func (t *Tracker) propagate(res *StepResult) {
 	// predicted area whose linear probability clears the record threshold.
 	// maxRecordDist is the distance at which the linear probability equals
 	// the threshold.
-	maxRecordDist := t.cfg.PredictRadius * (1 - t.cfg.RecordThreshold)
+	maxRecordDist := t.nw.Cfg.SensingRadius * (1 - recordThreshold)
 
 	t.scr.accEpoch++
 	t.scr.touched = t.scr.touched[:0]
@@ -347,27 +370,34 @@ func (t *Tracker) propagate(res *StepResult) {
 	// and enforce the controllable population bound of Section III-A.
 	if t.parts.len() > 0 {
 		res.Dropped += t.pruneLowWeight()
-		if t.parts.len() > t.cfg.MaxHolders {
-			all := t.scr.byWeight[:0]
-			for _, id := range t.parts.sorted() {
-				all = append(all, holderWeight{id: id, w: t.parts.w[id]})
-			}
-			slices.SortFunc(all, func(a, b holderWeight) int {
-				switch {
-				case a.w > b.w:
-					return -1
-				case a.w < b.w:
-					return 1
-				}
-				return int(a.id) - int(b.id)
-			})
-			t.scr.byWeight = all
-			for _, h := range all[t.cfg.MaxHolders:] {
-				t.parts.remove(h.id)
-				res.Dropped++
-			}
-		}
+		res.Dropped += t.capHolders()
 	}
+}
+
+// capHolders keeps the maxHolders heaviest particles (ties broken by
+// ascending node ID), returning the number removed.
+func (t *Tracker) capHolders() int {
+	if t.parts.len() <= maxHolders {
+		return 0
+	}
+	all := t.scr.byWeight[:0]
+	for _, id := range t.parts.sorted() {
+		all = append(all, holderWeight{id: id, w: t.parts.w[id]})
+	}
+	slices.SortFunc(all, func(a, b holderWeight) int {
+		switch {
+		case a.w > b.w:
+			return -1
+		case a.w < b.w:
+			return 1
+		}
+		return int(a.id) - int(b.id)
+	})
+	t.scr.byWeight = all
+	for _, h := range all[maxHolders:] {
+		t.parts.remove(h.id)
+	}
+	return len(all) - maxHolders
 }
 
 // record is the recorder-resolution loop of the propagation phase: for
@@ -399,7 +429,7 @@ func (t *Tracker) record(bcasts []bcast, maxRecordDist float64, shared bool, res
 		for attempt := 1; len(recorders) == 0 && attempt <= t.cfg.Rebroadcasts; attempt++ {
 			t.nw.Transmit(b.id, wsn.MsgParticle, sizes.Dp+sizes.Dw)
 			t.resil.Rebroadcasts++
-			dist := maxRecordDist * math.Pow(t.cfg.RebroadcastBackoff, float64(attempt))
+			dist := maxRecordDist * math.Pow(rebroadcastBackoff, float64(attempt))
 			recorders = t.selectRecordersInto(&t.scr.cand, *b, dist, attempt)
 			if len(recorders) > 0 {
 				t.resil.RebroadcastSaves++
@@ -484,7 +514,7 @@ func (t *Tracker) accumulate(b *bcast, id wsn.NodeID, pos mathx.Vec2, ratio, wj 
 func (t *Tracker) sweepShared(center mathx.Vec2, maxRecordDist float64) {
 	scr := &t.scr
 	sw := &scr.sw
-	area := cluster.PredictedArea{Center: center, Radius: t.cfg.PredictRadius}
+	area := cluster.PredictedArea{Center: center, Radius: t.nw.Cfg.SensingRadius}
 	sw.id = t.nw.AppendActiveNodesWithin(sw.id[:0], center, maxRecordDist)
 	// Reserve every table once per phase from the sizes the sweep knows:
 	// n candidates and nb broadcasts, at most n·nb recorder entries, and at
@@ -879,7 +909,7 @@ func (t *Tracker) assignNE(obs []Observation, res *StepResult) {
 	if !res.PredictedValid {
 		return // no prediction yet (first iteration): weights persist
 	}
-	if !EstimateContributionsInto(t.nw, res.Predicted, t.cfg.PredictRadius, &t.scr.contrib) {
+	if !EstimateContributionsInto(t.nw, res.Predicted, t.nw.Cfg.SensingRadius, &t.scr.contrib) {
 		return
 	}
 	cs := &t.scr.contrib
@@ -907,6 +937,10 @@ func (t *Tracker) assignNE(obs []Observation, res *StepResult) {
 	}
 }
 
+// initWeight is the weight given to brand-new particles when no other
+// particles exist (the paper: "configured as a constant").
+const initWeight = 1.0
+
 // createFresh implements the initialization rule and the Section III-B
 // creation rule: a node that detects the target but did not receive any
 // propagated particles this iteration spawns a new one (e.g. the node
@@ -915,7 +949,7 @@ func (t *Tracker) assignNE(obs []Observation, res *StepResult) {
 // same procedure as the first iteration.
 //
 // A new particle's weight is the mean weight of the surviving particles (so
-// it joins at a typical scale) or InitWeight on an empty track; its velocity
+// it joins at a typical scale) or initWeight on an empty track; its velocity
 // is inferred from the displacement between the detection position and the
 // last overheard estimate.
 func (t *Tracker) createFresh(obs []Observation, res *StepResult) {
@@ -923,7 +957,7 @@ func (t *Tracker) createFresh(obs []Observation, res *StepResult) {
 		return
 	}
 	reinit := t.parts.len() == 0 // track lost (or first iteration)
-	base := t.cfg.InitWeight
+	base := initWeight
 	if !reinit {
 		total := 0.0
 		for _, id := range t.parts.sorted() {

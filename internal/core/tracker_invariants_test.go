@@ -22,21 +22,43 @@ func stepWithTarget(t *testing.T, tr *Tracker, nw *wsn.Network, target mathx.Vec
 
 func TestMaxHoldersCap(t *testing.T) {
 	nw := denseNetwork(t, 31)
-	cfg := DefaultConfig(false)
-	cfg.MaxHolders = 5
-	cfg.DropFraction = 1e-12 // cap is the only population bound
-	tr, err := NewTracker(nw, cfg)
+	// White-box: seed more than maxHolders equal-weight holders; the cap
+	// keeps exactly maxHolders, breaking weight ties by ascending node ID.
+	tr, err := NewTracker(nw, DefaultConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
+	const seeded = maxHolders + 44
+	for id := 0; id < seeded; id++ {
+		tr.parts.add(wsn.NodeID(id), mathx.Vec2{}, 1)
+	}
+	if got := tr.capHolders(); got != seeded-maxHolders {
+		t.Fatalf("capHolders removed %d, want %d", got, seeded-maxHolders)
+	}
+	holders := tr.Holders()
+	if len(holders) != maxHolders || holders[0] != 0 || holders[maxHolders-1] != maxHolders-1 {
+		t.Fatalf("kept %d holders, want IDs 0..%d", len(holders), maxHolders-1)
+	}
+
+	// Through Step: per-particle areas around more than maxHolders spread-out,
+	// stationary particles record onto far more nodes than the cap, and the
+	// propagation phase must bound the population to exactly maxHolders.
+	cfg := DefaultConfig(false)
+	cfg.PerParticleAreas = true
+	tr, err = NewTracker(nw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := nw.Len() / seeded
+	for i := 0; i < seeded; i++ {
+		tr.parts.add(wsn.NodeID(i*stride), mathx.Vec2{}, 1)
+	}
 	rng := mathx.NewRNG(32)
-	target := mathx.V2(30, 100)
-	stepWithTarget(t, tr, nw, target, rng)
-	// Coast with no detections: the cap must hold the population.
-	for k := 0; k < 6; k++ {
-		tr.Step(nil, rng)
-		if got := len(tr.Holders()); got > 5 {
-			t.Fatalf("coast iteration %d: holders %d exceed cap 5", k, got)
+	for k := 0; k < 3; k++ {
+		res := tr.Step(nil, rng)
+		if res.Holders != maxHolders || len(tr.Holders()) != maxHolders {
+			t.Fatalf("coast iteration %d: holders %d (result %d), want the cap %d",
+				k, len(tr.Holders()), res.Holders, maxHolders)
 		}
 	}
 }
@@ -86,7 +108,7 @@ func TestNEWeightsFollowContributions(t *testing.T) {
 	// Install two synthetic particles with equal weights near a predicted
 	// position, then run assignNE directly.
 	pred := mathx.V2(100, 100)
-	cs := EstimateContributions(nw, pred, tr.cfg.PredictRadius)
+	cs := EstimateContributions(nw, pred, nw.Cfg.SensingRadius)
 	if cs == nil || len(cs.Nodes) < 2 {
 		t.Skip("estimation area too sparse")
 	}

@@ -1,7 +1,7 @@
 // Package filter is a generic sequential Monte Carlo (particle filter)
 // library: weighted particle sets, the four canonical resampling schemes,
-// a sampling-importance-resampling (SIR) filter, KLD-adaptive sample sizing,
-// and Kalman/extended-Kalman reference filters.
+// a sampling-importance-resampling (SIR) filter, and Kalman/extended-Kalman
+// reference filters.
 //
 // All of the tracking algorithms in this repository (CPF, SDPF, CDPF,
 // CDPF-NE) are built from these primitives; the distributed variants differ

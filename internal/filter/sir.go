@@ -75,19 +75,8 @@ func (f *SIR) Init(draw func(rng *mathx.RNG) statex.State, rng *mathx.RNG) {
 // Particles exposes the current particle set (read-only by convention).
 func (f *SIR) Particles() *Set { return f.set }
 
-// N returns the current target particle count.
+// N returns the particle count N_s.
 func (f *SIR) N() int { return f.cfg.N }
-
-// SetSize changes the target particle count; the next resampling event
-// draws that many particles. KLD-sampling adapters call this each
-// iteration.
-func (f *SIR) SetSize(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("filter: SIR size %d must be positive", n)
-	}
-	f.cfg.N = n
-	return nil
-}
 
 // Step runs one full SIR iteration — predict with the proposal, update with
 // the measurement log-likelihood, resample if the ESS criterion fires, and

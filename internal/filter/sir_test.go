@@ -186,86 +186,3 @@ func TestSIRNoResampleWhenThresholdLow(t *testing.T) {
 		t.Fatal("filter resampled despite ESS above threshold")
 	}
 }
-
-func TestKLDSampleSize(t *testing.T) {
-	cfg := DefaultKLDConfig()
-	// Monotone non-decreasing in k.
-	prev := 0
-	for k := 1; k <= 200; k++ {
-		n := cfg.KLDSampleSize(k)
-		if n < prev {
-			t.Fatalf("KLD size decreased at k=%d: %d < %d", k, n, prev)
-		}
-		if n < cfg.MinN || n > cfg.MaxN {
-			t.Fatalf("KLD size %d outside clamps at k=%d", n, k)
-		}
-		prev = n
-	}
-	if cfg.KLDSampleSize(1) != cfg.MinN {
-		t.Fatalf("k=1 should clamp to MinN, got %d", cfg.KLDSampleSize(1))
-	}
-}
-
-func TestKLDSampleSizeKnownMagnitude(t *testing.T) {
-	// For epsilon=0.05, delta=0.01, k=50 Fox's formula gives n in the low
-	// hundreds-to-~700 range; sanity check our implementation's magnitude.
-	cfg := KLDConfig{Epsilon: 0.05, Delta: 0.01, MinN: 1, MaxN: 100000, BinWidth: 1}
-	n := cfg.KLDSampleSize(50)
-	if n < 400 || n > 900 {
-		t.Fatalf("KLD size for k=50 = %d, expected a few hundred", n)
-	}
-}
-
-func TestOccupiedBins(t *testing.T) {
-	cfg := KLDConfig{BinWidth: 1}
-	s := NewSet(4)
-	s.Add(Particle{State: statex.State{Pos: mathx.V2(0.1, 0.1)}})
-	s.Add(Particle{State: statex.State{Pos: mathx.V2(0.9, 0.9)}}) // same bin
-	s.Add(Particle{State: statex.State{Pos: mathx.V2(1.5, 0.5)}}) // new bin
-	s.Add(Particle{State: statex.State{Pos: mathx.V2(-0.5, 0)}})  // negative coord bin
-	if got := cfg.OccupiedBins(s); got != 3 {
-		t.Fatalf("OccupiedBins = %d, want 3", got)
-	}
-}
-
-func TestAdaptiveSizeGrowsWithSpread(t *testing.T) {
-	cfg := DefaultKLDConfig()
-	rng := mathx.NewRNG(55)
-	tight := NewSet(200)
-	wide := NewSet(200)
-	for i := 0; i < 200; i++ {
-		tight.Add(Particle{State: statex.State{Pos: mathx.V2(rng.Normal(0, 1), rng.Normal(0, 1))}})
-		wide.Add(Particle{State: statex.State{Pos: mathx.V2(rng.Normal(0, 30), rng.Normal(0, 30))}})
-	}
-	if cfg.AdaptiveSize(wide) <= cfg.AdaptiveSize(tight) {
-		t.Fatalf("wide cloud size %d not larger than tight %d",
-			cfg.AdaptiveSize(wide), cfg.AdaptiveSize(tight))
-	}
-}
-
-func TestNormalQuantile(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0},
-		{0.975, 1.959964},
-		{0.99, 2.326348},
-		{0.025, -1.959964},
-	}
-	for _, c := range cases {
-		if got := normalQuantile(c.p); math.Abs(got-c.want) > 1e-4 {
-			t.Errorf("normalQuantile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestNormalQuantilePanics(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("normalQuantile(%v) did not panic", p)
-				}
-			}()
-			normalQuantile(p)
-		}()
-	}
-}

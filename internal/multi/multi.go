@@ -6,7 +6,7 @@
 // Association is geometric and local: every observation is assigned to the
 // track whose predicted position gates it; leftover observations are
 // clustered by radio-neighborhood connectivity, and each cluster starts a
-// new track. Tracks that lose detection support for MaxMissed consecutive
+// new track. Tracks that lose detection support for maxMissed consecutive
 // iterations are retired. All per-track filtering runs through core.Tracker,
 // so the communication accounting covers the whole fleet.
 package multi
@@ -24,19 +24,21 @@ import (
 type Config struct {
 	// Tracker is the per-track CDPF configuration.
 	Tracker core.Config
-	// GateRadius is the association gate around each track's predicted
-	// position (m). It must cover the sensing radius plus the target's
-	// per-iteration displacement; 0 defaults to three times the sensing
-	// radius (10 + 15 m for the paper's target, with margin).
-	GateRadius float64
-	// MinInitCluster is the minimum number of mutually-close unassociated
-	// detections needed to start a new track (suppresses clutter);
-	// 0 defaults to 2.
-	MinInitCluster int
-	// MaxMissed retires a track after this many consecutive iterations
-	// without any associated detection; 0 defaults to 3.
-	MaxMissed int
 }
+
+const (
+	// gateRadii is the association gate around each track's predicted
+	// position, in sensing radii. It must cover the sensing radius plus the
+	// target's per-iteration displacement (10 + 15 m for the paper's
+	// target, with margin).
+	gateRadii = 3
+	// minInitCluster is the minimum number of mutually-close unassociated
+	// detections needed to start a new track (suppresses clutter).
+	minInitCluster = 2
+	// maxMissed retires a track after this many consecutive iterations
+	// without any associated detection.
+	maxMissed = 3
+)
 
 // DefaultConfig returns a multi-target configuration over the standard CDPF
 // tracker (useNE selects CDPF-NE per track).
@@ -72,31 +74,18 @@ type Track struct {
 type Manager struct {
 	nw     *wsn.Network
 	cfg    Config
+	gate   float64 // association gate radius (m)
 	tracks []*Track
 	nextID int
 }
 
-// NewManager validates cfg and returns an empty manager.
+// NewManager validates cfg's per-track tracker configuration and returns an
+// empty manager.
 func NewManager(nw *wsn.Network, cfg Config) (*Manager, error) {
-	if cfg.GateRadius == 0 {
-		cfg.GateRadius = 3 * nw.Cfg.SensingRadius
+	if _, err := core.NewTracker(nw, cfg.Tracker); err != nil {
+		return nil, fmt.Errorf("multi: %w", err)
 	}
-	if cfg.GateRadius <= 0 {
-		return nil, fmt.Errorf("multi: gate radius %v must be positive", cfg.GateRadius)
-	}
-	if cfg.MinInitCluster == 0 {
-		cfg.MinInitCluster = 2
-	}
-	if cfg.MinInitCluster < 1 {
-		return nil, fmt.Errorf("multi: init cluster size %d must be positive", cfg.MinInitCluster)
-	}
-	if cfg.MaxMissed == 0 {
-		cfg.MaxMissed = 3
-	}
-	if cfg.MaxMissed < 1 {
-		return nil, fmt.Errorf("multi: max missed %d must be positive", cfg.MaxMissed)
-	}
-	return &Manager{nw: nw, cfg: cfg}, nil
+	return &Manager{nw: nw, cfg: cfg, gate: gateRadii * nw.Cfg.SensingRadius}, nil
 }
 
 // Tracks returns the live tracks (read-only by convention).
@@ -112,7 +101,7 @@ func (m *Manager) Step(obs []core.Observation, rng *mathx.RNG) []*Track {
 	for _, o := range obs {
 		pos := m.nw.Node(o.Node).Pos
 		best := -1
-		bestD := m.cfg.GateRadius
+		bestD := m.gate
 		for i, tr := range m.tracks {
 			anchor, ok := tr.anchor()
 			if !ok {
@@ -150,7 +139,7 @@ func (m *Manager) Step(obs []core.Observation, rng *mathx.RNG) []*Track {
 
 	// --- Track initiation from unassociated clusters ---
 	for _, cl := range m.clusters(leftovers) {
-		if len(cl) < m.cfg.MinInitCluster {
+		if len(cl) < minInitCluster {
 			continue
 		}
 		tracker, err := core.NewTracker(m.nw, m.cfg.Tracker)
@@ -167,7 +156,7 @@ func (m *Manager) Step(obs []core.Observation, rng *mathx.RNG) []*Track {
 	// --- Retirement ---
 	live := m.tracks[:0]
 	for _, tr := range m.tracks {
-		if tr.missed < m.cfg.MaxMissed {
+		if tr.missed < maxMissed {
 			live = append(live, tr)
 		}
 	}
@@ -236,7 +225,7 @@ func (m *Manager) clusters(obs []core.Observation) [][]core.Observation {
 			parent[rb] = ra
 		}
 	}
-	gate2 := m.cfg.GateRadius * m.cfg.GateRadius
+	gate2 := m.gate * m.gate
 	for i := 0; i < n; i++ {
 		pi := m.nw.Node(obs[i].Node).Pos
 		for j := i + 1; j < n; j++ {

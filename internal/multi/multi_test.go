@@ -40,26 +40,16 @@ func observe(nw *wsn.Network, sensor statex.BearingSensor, targets []mathx.Vec2,
 func TestConfigValidation(t *testing.T) {
 	nw := multiNetwork(t, 1)
 	bad := DefaultConfig(false)
-	bad.GateRadius = -1
+	bad.Tracker.Dt = 0
 	if _, err := NewManager(nw, bad); err == nil {
-		t.Fatal("negative gate accepted")
-	}
-	bad = DefaultConfig(false)
-	bad.MinInitCluster = -2
-	if _, err := NewManager(nw, bad); err == nil {
-		t.Fatal("negative init cluster accepted")
-	}
-	bad = DefaultConfig(false)
-	bad.MaxMissed = -1
-	if _, err := NewManager(nw, bad); err == nil {
-		t.Fatal("negative max missed accepted")
+		t.Fatal("invalid per-track tracker config accepted")
 	}
 	ok, err := NewManager(nw, DefaultConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok.cfg.GateRadius != 3*nw.Cfg.SensingRadius {
-		t.Fatalf("gate default = %v", ok.cfg.GateRadius)
+	if ok.gate != 3*nw.Cfg.SensingRadius {
+		t.Fatalf("gate = %v, want three sensing radii", ok.gate)
 	}
 }
 
@@ -146,9 +136,7 @@ func TestTrackAccuracyPerTarget(t *testing.T) {
 
 func TestTrackRetirement(t *testing.T) {
 	nw := multiNetwork(t, 8)
-	cfg := DefaultConfig(false)
-	cfg.MaxMissed = 2
-	mgr, _ := NewManager(nw, cfg)
+	mgr, _ := NewManager(nw, DefaultConfig(false))
 	sensor := statex.BearingSensor{SigmaN: 0.05}
 	rng := mathx.NewRNG(9)
 	obsRNG := mathx.NewRNG(10)
@@ -161,26 +149,39 @@ func TestTrackRetirement(t *testing.T) {
 	if len(mgr.Tracks()) != 1 {
 		t.Fatalf("tracks = %d, want 1", len(mgr.Tracks()))
 	}
-	// Target disappears: the track must retire after MaxMissed empty steps.
-	for k := 0; k < 3; k++ {
+	// Target disappears: the track survives two empty steps and retires on
+	// the third.
+	for k := 1; k <= 3; k++ {
 		mgr.Step(nil, rng)
-	}
-	if len(mgr.Tracks()) != 0 {
-		t.Fatalf("track not retired: %d live", len(mgr.Tracks()))
+		want := 1
+		if k == 3 {
+			want = 0
+		}
+		if live := len(mgr.Tracks()); live != want {
+			t.Fatalf("after %d empty steps: %d live tracks, want %d", k, live, want)
+		}
 	}
 }
 
 func TestClutterSuppression(t *testing.T) {
 	nw := multiNetwork(t, 11)
-	cfg := DefaultConfig(false)
-	cfg.MinInitCluster = 3
-	mgr, _ := NewManager(nw, cfg)
+	mgr, _ := NewManager(nw, DefaultConfig(false))
 	rng := mathx.NewRNG(12)
 	// A single isolated spurious detection must not start a track.
 	lone := nw.NearestNode(mathx.V2(100, 100))
 	mgr.Step([]core.Observation{{Node: lone, Bearing: 0.3}}, rng)
 	if len(mgr.Tracks()) != 0 {
 		t.Fatal("clutter started a track")
+	}
+	// Two mutually close detections are the smallest cluster that does.
+	mgr, _ = NewManager(nw, DefaultConfig(false))
+	pair := nw.ActiveNodesWithin(nw.Node(lone).Pos, 3)
+	if len(pair) < 2 {
+		t.Skip("no second node near the clutter site")
+	}
+	mgr.Step([]core.Observation{{Node: pair[0], Bearing: 0.3}, {Node: pair[1], Bearing: 0.3}}, rng)
+	if len(mgr.Tracks()) != 1 {
+		t.Fatalf("two-detection cluster started %d tracks, want 1", len(mgr.Tracks()))
 	}
 }
 

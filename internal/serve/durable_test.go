@@ -210,15 +210,30 @@ func TestRecoverResumesMidRunByteIdentical(t *testing.T) {
 			crash(t, m1, st1)
 			if tc.legacy {
 				// A legacy tracker no cell builds fails recovery, naming
-				// the session.
-				noCell := strings.Replace(legacyCrashySpec, `"DropFraction":0.3`, `"DropFraction":0.1`, 1)
-				st, rec := openStore(t, legacyCopy(t, dir, spec.ID, noCell))
-				m := NewManager(ManagerConfig{Shards: 1, Store: st})
-				err := m.Restore(rec)
-				m.Drain()
-				st.Close()
-				if err == nil || !strings.Contains(err.Error(), `"crashy"`) {
-					t.Fatalf("unconvertible legacy spec: Restore error %v, want one naming the session", err)
+				// the session: one row per tracker field since folded into
+				// a constant, each set to a value the tracker no longer
+				// runs.
+				for _, field := range []struct{ from, to string }{
+					{`"PredictRadius":0`, `"PredictRadius":10`},
+					{`"RecordThreshold":0.3`, `"RecordThreshold":0.2`},
+					{`"DropFraction":0.3`, `"DropFraction":0.1`},
+					{`"InitWeight":1`, `"InitWeight":2`},
+					{`"MaxHolders":0`, `"MaxHolders":5`},
+					{`"RebroadcastBackoff":0`, `"RebroadcastBackoff":1.3`},
+					{`"QuarantineDevSigma":0`, `"QuarantineDevSigma":2`},
+				} {
+					if !strings.Contains(legacyCrashySpec, field.from) {
+						t.Fatalf("legacyCrashySpec lacks %s", field.from)
+					}
+					noCell := strings.Replace(legacyCrashySpec, field.from, field.to, 1)
+					st, rec := openStore(t, legacyCopy(t, dir, spec.ID, noCell))
+					m := NewManager(ManagerConfig{Shards: 1, Store: st})
+					err := m.Restore(rec)
+					m.Drain()
+					st.Close()
+					if err == nil || !strings.Contains(err.Error(), `"crashy"`) {
+						t.Fatalf("unconvertible legacy spec (%s): Restore error %v, want one naming the session", field.to, err)
+					}
 				}
 				dir = legacyCopy(t, dir, spec.ID, legacyCrashySpec)
 			}
@@ -511,6 +526,63 @@ func TestReplayRebuildsTraceFromWAL(t *testing.T) {
 				t.Fatal("replay of unknown session succeeded")
 			}
 		})
+	}
+}
+
+// TestRecoverRejectsOutOfRangeNode: a rejected out-of-range batch is never
+// logged, and a WAL that nonetheless holds one (written by a server that
+// admitted it) fails Restore and Replay naming the session instead of
+// panicking the tracker.
+func TestRecoverRejectsOutOfRangeNode(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec("badnode", 3)
+	st, _ := openStore(t, dir)
+	m := NewManager(ManagerConfig{Shards: 1, Store: st})
+	sess, err := m.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := sess.sc.Net.Len()
+	bad := Batch{K: 0, Obs: []Measurement{{Node: nodes, Bearing: 0.5}}}
+	var ae *AdmitError
+	if _, err := m.Ingest(spec.ID, IngestRequest{Batches: []Batch{bad}}); !asAdmit(err, &ae) || ae.Status != 400 || ae.Reason != "bad_node" {
+		t.Fatalf("out-of-range ingest: %v, want 400 bad_node", err)
+	}
+	m.Drain()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := durable.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rec.Sessions[spec.ID].Batches); n != 0 {
+		t.Fatalf("rejected batch logged: %d WAL batches", n)
+	}
+
+	for _, node := range []int32{-1, int32(nodes)} {
+		dir := t.TempDir()
+		st, _ := openStore(t, dir)
+		if err := st.LogCreate(0, spec.ID, sess.specJSON); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.LogBatch(0, &durable.BatchRecord{ID: spec.ID, K: 0, Obs: []durable.Obs{{Node: node, Bearing: 0.5}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, rec := openStore(t, dir)
+		m := NewManager(ManagerConfig{Shards: 1, Store: st})
+		err := m.Restore(rec)
+		m.Drain()
+		st.Close()
+		if err == nil || !strings.Contains(err.Error(), `"badnode"`) {
+			t.Fatalf("node %d: Restore error %v, want one naming the session", node, err)
+		}
+		if _, err := Replay(rec, spec.ID); err == nil || !strings.Contains(err.Error(), `"badnode"`) {
+			t.Fatalf("node %d: Replay error %v, want one naming the session", node, err)
+		}
 	}
 }
 

@@ -368,6 +368,10 @@ func (m *Manager) Ingest(id string, req IngestRequest) (IngestResponse, error) {
 			return IngestResponse{}, admitErr(409, "out_of_order",
 				"batch %d has k=%d, session %q expects k=%d", i, b.K, id, want)
 		}
+		if err := s.checkNodes(b); err != nil {
+			m.mu.Unlock()
+			return IngestResponse{}, admitErr(400, "bad_node", "session %q: %v", id, err)
+		}
 	}
 	if last := s.nextK + len(req.Batches); last > s.iterations() {
 		m.mu.Unlock()
@@ -592,7 +596,9 @@ func (m *Manager) rebuildSession(id string, log *durable.SessionLog, snap *durab
 		if b.K != s.stepped {
 			return nil, fmt.Errorf("WAL gap: have step %d, next logged batch is k=%d", s.stepped, b.K)
 		}
-		s.step(wireBatch(b))
+		if _, err := s.stepLogged(b); err != nil {
+			return nil, err
+		}
 		counters.ReplayedBatches.Add(1)
 	}
 	s.nextK = s.stepped

@@ -81,7 +81,7 @@ func decodeSpec(b []byte) (SessionSpec, error) {
 	var logged struct {
 		SessionSpec
 		Scenario scenario.Params `json:"scenario"`
-		Tracker  *core.Config    `json:"tracker"`
+		Tracker  *legacyTracker  `json:"tracker"`
 	}
 	if err := json.Unmarshal(b, &logged); err != nil {
 		return SessionSpec{}, err
@@ -99,12 +99,39 @@ func decodeSpec(b []byte) (SessionSpec, error) {
 		}
 		sp, serr := ax.ScenarioParams()
 		tc, terr := ax.TrackerConfig()
-		if serr != nil || terr != nil || sp != p || !reflect.DeepEqual(tc, *cfg) {
+		if serr != nil || terr != nil || sp != p || !reflect.DeepEqual(tc, cfg.Config) || !cfg.foldedFieldsMatch() {
 			return SessionSpec{}, fmt.Errorf("legacy scenario/tracker spec has no equivalent cell")
 		}
 		spec.Cell = &ax
 	}
 	return spec.normalize(), nil
+}
+
+// legacyTracker is a logged legacy "tracker" object: core.Config plus the
+// fields the tracker has since folded into constants. json.Unmarshal would
+// silently drop a field the struct no longer names, so they stay named here:
+// a record that set one to anything but its constant has no equivalent cell.
+type legacyTracker struct {
+	core.Config
+	PredictRadius      float64
+	RecordThreshold    float64
+	DropFraction       float64
+	InitWeight         float64
+	MaxHolders         int
+	RebroadcastBackoff float64
+	QuarantineDevSigma float64
+}
+
+// foldedFieldsMatch reports whether every folded field is zero (the old
+// "use the default" spelling) or equals the value of the core constant that
+// replaced it (recordThreshold, dropFraction, initWeight, maxHolders,
+// rebroadcastBackoff, quarDevSigma). PredictRadius only matches at zero: a
+// nonzero value never meant "the network's sensing radius".
+func (t *legacyTracker) foldedFieldsMatch() bool {
+	is := func(v, constant float64) bool { return v == 0 || v == constant }
+	return t.PredictRadius == 0 && is(t.RecordThreshold, 0.3) && is(t.DropFraction, 0.3) &&
+		is(t.InitWeight, 1) && (t.MaxHolders == 0 || t.MaxHolders == 256) &&
+		is(t.RebroadcastBackoff, 1.5) && is(t.QuarantineDevSigma, 3)
 }
 
 // Measurement is one node's bearing observation, the wire form of

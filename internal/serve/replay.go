@@ -41,7 +41,11 @@ func Replay(rec *durable.Recovery, id string) (*trace.Recorder, error) {
 		if b.K != s.stepped {
 			return nil, fmt.Errorf("serve: WAL for %q jumps from step %d to k=%d", id, s.stepped, b.K)
 		}
-		out.Add(s.step(wireBatch(b)))
+		rec, err := s.stepLogged(b)
+		if err != nil {
+			return nil, fmt.Errorf("serve: replaying session %q: %w", id, err)
+		}
+		out.Add(rec)
 	}
 	return out, nil
 }

@@ -164,7 +164,7 @@ func TestHTTPServedMatchesOffline(t *testing.T) {
 }
 
 func TestHTTPErrorsAndStatusCodes(t *testing.T) {
-	ts, _ := newTestServer(t, ManagerConfig{Shards: 1})
+	ts, mgr := newTestServer(t, ManagerConfig{Shards: 1})
 
 	// Unknown session: 404 on status, ingest, and stream.
 	for _, url := range []string{
@@ -225,6 +225,34 @@ func TestHTTPErrorsAndStatusCodes(t *testing.T) {
 			t.Fatalf("spec %s = %d, want 400", legacy, resp.StatusCode)
 		}
 	}
+
+	// A batch naming a node outside the network: 400, nothing admitted, and
+	// the session (and its shard) keep stepping valid batches.
+	spec := testSpec("nodes", 2)
+	resp5, body := postJSON(t, ts.URL+"/v1/sessions", spec)
+	if resp5.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp5.StatusCode, body)
+	}
+	var info SessionInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []int{-1, info.Nodes} {
+		resp, body := postJSON(t, ts.URL+"/v1/sessions/nodes/measurements",
+			IngestRequest{Batches: []Batch{{K: 0, Obs: []Measurement{{Node: node, Bearing: 0.5}}}}})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "outside") {
+			t.Fatalf("node %d of %d = %d %s, want 400 naming the range", node, info.Nodes, resp.StatusCode, body)
+		}
+	}
+	batches, err := Observations(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/sessions/nodes/measurements",
+		IngestRequest{Batches: batches[:1]}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid k=0 after rejected batches = %d %s", resp.StatusCode, body)
+	}
+	waitStepped(t, mgr, "nodes", 1)
 }
 
 func TestHealthzAndMetricsEndpoints(t *testing.T) {

@@ -180,6 +180,29 @@ func restoreSession(id string, shard int, snap *durable.Snapshot) (*session, err
 // iterations is the total filter iteration count (Steps+1, including t=0).
 func (s *session) iterations() int { return s.sc.Iterations() }
 
+// checkNodes rejects a batch naming a node outside the session's network:
+// the tracker indexes its per-node tables by the ID, so admitting one would
+// panic the shard goroutine, and logging one would panic every recovery.
+func (s *session) checkNodes(b Batch) error {
+	n := s.sc.Net.Len()
+	for _, m := range b.Obs {
+		if m.Node < 0 || m.Node >= n {
+			return fmt.Errorf("batch k=%d names node %d outside [0, %d)", b.K, m.Node, n)
+		}
+	}
+	return nil
+}
+
+// stepLogged re-steps one WAL batch during recovery or replay, refusing a
+// batch checkNodes would have rejected at admission.
+func (s *session) stepLogged(r *durable.BatchRecord) (trace.Record, error) {
+	b := wireBatch(r)
+	if err := s.checkNodes(b); err != nil {
+		return trace.Record{}, err
+	}
+	return s.step(b), nil
+}
+
 // step runs one filter iteration on the shard goroutine and returns the
 // record it published. It must be called with consecutive k starting at 0;
 // the manager's admission logic guarantees that ordering.
