@@ -11,20 +11,18 @@
 //
 //	benchtab [-exp all|table1|fig4|fig5|fig6|failure|sleep|duty|ablation|latency|resilience|sensorfault|kernels]
 //	         [-seeds N] [-density D] [-csv DIR]
-//	         [-parallel N] [-progress] [-benchjson FILE]
+//	         [-parallel N] [-progress]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -47,7 +45,6 @@ func main() {
 	flag.BoolVar(&o.chart, "chart", false, "render Fig. 5/6 sweeps as ASCII charts too")
 	flag.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "fleet workers for sweep cells (1 = legacy serial path)")
 	flag.BoolVar(&o.progress, "progress", false, "print fleet progress (jobs done, jobs/sec, ETA) to stderr")
-	flag.StringVar(&o.benchJSON, "benchjson", "", "write a machine-readable throughput record (workers, jobs/sec, wall-clock) to this JSON file")
 	flag.StringVar(&o.prof.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	flag.StringVar(&o.prof.MemProfile, "memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.StringVar(&o.prof.Trace, "trace", "", "write a runtime execution trace of the run to this file")
@@ -79,44 +76,14 @@ func main() {
 
 // options carries the parsed command line.
 type options struct {
-	exp       string
-	seeds     int
-	density   float64
-	csvDir    string
-	chart     bool
-	parallel  int
-	progress  bool
-	benchJSON string
-	prof      prof.Flags
-}
-
-// jobCounter counts fleet job completions (for the -benchjson record) and
-// forwards snapshots to an optional inner observer.
-type jobCounter struct {
-	n     int64
-	inner fleet.Observer
-}
-
-// JobDone implements fleet.Observer.
-func (c *jobCounter) JobDone(s fleet.Snapshot) {
-	atomic.AddInt64(&c.n, 1)
-	if c.inner != nil {
-		c.inner.JobDone(s)
-	}
-}
-
-// benchRecord is the schema of one -benchjson entry. The output file is a
-// JSON array that each invocation appends to, so the performance trajectory
-// of the suite gets recorded across runs.
-type benchRecord struct {
-	Experiment  string  `json:"experiment"`
-	Workers     int     `json:"workers"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	NumCPU      int     `json:"numcpu"`
-	Seeds       int     `json:"seeds"`
-	Jobs        int64   `json:"jobs"`
-	WallClockMS float64 `json:"wall_clock_ms"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
+	exp      string
+	seeds    int
+	density  float64
+	csvDir   string
+	chart    bool
+	parallel int
+	progress bool
+	prof     prof.Flags
 }
 
 func run(ctx context.Context, o options) error {
@@ -136,60 +103,11 @@ func run(ctx context.Context, o options) error {
 	if err := (spec.Axes{Density: o.density}).Validate(); err != nil {
 		return fmt.Errorf("-density: %w", err)
 	}
-	counter := &jobCounter{}
+	exec := experiments.Exec{Workers: o.parallel, Ctx: ctx}
 	if o.progress {
-		counter.inner = fleet.NewProgress(os.Stderr, time.Second)
+		exec.Observer = fleet.NewProgress(os.Stderr, time.Second)
 	}
-	exec := experiments.Exec{Workers: o.parallel, Observer: counter, Ctx: ctx}
-	start := time.Now()
-
-	if err := runExperiments(o, exec); err != nil {
-		return err
-	}
-
-	if o.benchJSON != "" {
-		elapsed := time.Since(start)
-		jobs := atomic.LoadInt64(&counter.n)
-		rec := benchRecord{
-			Experiment:  o.exp,
-			Workers:     o.parallel,
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			NumCPU:      runtime.NumCPU(),
-			Seeds:       o.seeds,
-			Jobs:        jobs,
-			WallClockMS: float64(elapsed.Microseconds()) / 1000,
-			JobsPerSec:  float64(jobs) / elapsed.Seconds(),
-		}
-		if err := writeBenchJSON(o.benchJSON, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeBenchJSON appends the throughput record to the JSON array at path
-// (creating the file if absent), preserving earlier records so the file
-// accumulates the suite's performance trajectory.
-func writeBenchJSON(path string, rec benchRecord) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	var records []benchRecord
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &records); err != nil {
-			return fmt.Errorf("benchjson %s exists but is not a record array: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	records = append(records, rec)
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return runExperiments(o, exec)
 }
 
 func runExperiments(o options, exec experiments.Exec) error {

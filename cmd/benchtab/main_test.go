@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,54 +145,5 @@ func TestRunParallelMatchesSerialCSV(t *testing.T) {
 		if got := par[name]; string(got) != string(want) {
 			t.Errorf("%s: parallel CSV diverged from serial:\n%s\nvs\n%s", name, want, got)
 		}
-	}
-}
-
-func TestRunWritesBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	o := opts("table1", 1, 10, "")
-	o.parallel = 4
-	o.benchJSON = filepath.Join(dir, "sub", "BENCH_fleet.json")
-	if err := run(context.Background(), o); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(o.benchJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []benchRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, data)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	rec := recs[0]
-	if rec.Experiment != "table1" || rec.Workers != 4 {
-		t.Fatalf("record = %+v", rec)
-	}
-	// table1 submits one cell per (algorithm, seed) plus SDPF's
-	// particle-budget probe per seed: five algorithms, one seed.
-	if rec.Jobs != 6 {
-		t.Fatalf("jobs = %d, want 6", rec.Jobs)
-	}
-	if rec.WallClockMS <= 0 || rec.JobsPerSec <= 0 {
-		t.Fatalf("throughput not recorded: %+v", rec)
-	}
-
-	// A second invocation must append, not overwrite.
-	o.parallel = 1
-	if err := run(context.Background(), o); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(o.benchJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[1].Workers != 1 {
-		t.Fatalf("append failed: %+v", recs)
 	}
 }

@@ -305,7 +305,7 @@ func (d *daemon) get(t *testing.T, path string) string {
 func TestDurabilityFlagValidation(t *testing.T) {
 	err := run(config{
 		addr: "127.0.0.1:0", shards: 1, shardQueue: 4, maxSessions: 4,
-		dataDir: t.TempDir(), fsync: "sometimes", drainTimeout: time.Second,
+		dataDir: t.TempDir(), fsync: "sometimes",
 	})
 	if err == nil {
 		t.Fatal("bad fsync policy accepted")

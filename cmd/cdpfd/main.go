@@ -14,7 +14,7 @@
 // Usage:
 //
 //	cdpfd [-addr HOST:PORT] [-shards N] [-shard-queue N] [-max-sessions N]
-//	      [-addr-file FILE] [-drain-timeout D] [-drain-linger D] [-data-dir DIR]
+//	      [-addr-file FILE] [-drain-linger D] [-data-dir DIR]
 //	      [-fsync always|interval|none] [-snapshot-every N] [-version]
 //
 // With -data-dir, sessions are durable: every admitted batch is written to a
@@ -54,7 +54,6 @@ type config struct {
 	shardQueue    int
 	maxSessions   int
 	addrFile      string
-	drainTimeout  time.Duration
 	drainLinger   time.Duration
 	dataDir       string
 	fsync         string
@@ -68,7 +67,6 @@ func main() {
 	flag.IntVar(&cfg.shardQueue, "shard-queue", 256, "bounded work-queue depth per shard (503 when full)")
 	flag.IntVar(&cfg.maxSessions, "max-sessions", 4096, "live session limit")
 	flag.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "maximum time to wait for connection drain after the queues empty")
 	flag.DurationVar(&cfg.drainLinger, "drain-linger", 0, "after draining, keep serving session exports until the session table empties or this long passes (lets a gateway evacuate on SIGTERM)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory (WAL + snapshots); empty disables durability")
 	flag.StringVar(&cfg.fsync, "fsync", "interval", "WAL sync policy: always, interval, or none")
@@ -79,10 +77,38 @@ func main() {
 		fmt.Println("cdpfd", version.String())
 		return
 	}
+	if err := cfg.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "cdpfd:", err)
+		os.Exit(2)
+	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "cdpfd:", err)
 		os.Exit(1)
 	}
+}
+
+// drainTimeout is the maximum time to wait for connection drain after the
+// queues empty.
+const drainTimeout = 30 * time.Second
+
+// validate rejects flag values the daemon would otherwise not run with, before
+// anything binds: the manager substitutes its defaults for non-positive
+// sizes, and the fsync policy is otherwise parsed only when -data-dir is set.
+func (cfg config) validate() error {
+	switch {
+	case cfg.shards <= 0:
+		return fmt.Errorf("-shards must be positive, got %d", cfg.shards)
+	case cfg.shardQueue <= 0:
+		return fmt.Errorf("-shard-queue must be positive, got %d", cfg.shardQueue)
+	case cfg.maxSessions <= 0:
+		return fmt.Errorf("-max-sessions must be positive, got %d", cfg.maxSessions)
+	case cfg.snapshotEvery <= 0:
+		return fmt.Errorf("-snapshot-every must be positive, got %d", cfg.snapshotEvery)
+	}
+	if _, err := durable.ParseFsyncPolicy(cfg.fsync); err != nil {
+		return fmt.Errorf("-fsync: %w", err)
+	}
+	return nil
 }
 
 func run(cfg config) error {
@@ -180,7 +206,7 @@ func run(cfg config) error {
 			log.Printf("cdpfd: all sessions evacuated")
 		}
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	go func() {
 		done <- run(config{
 			addr: "127.0.0.1:0", shards: 2, shardQueue: 16, maxSessions: 64,
-			addrFile: addrFile, drainTimeout: 10 * time.Second,
+			addrFile: addrFile,
 		})
 	}()
 
@@ -58,5 +59,39 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
+// TestValidateRejects: every sizing flag must be positive and -fsync must
+// name a policy whether or not -data-dir is set; each error names its flag.
+func TestValidateRejects(t *testing.T) {
+	good := config{
+		addr: "127.0.0.1:0", shards: 2, shardQueue: 256, maxSessions: 4096,
+		fsync: "interval", snapshotEvery: 32,
+	}
+	if err := good.validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	cases := []struct {
+		flag string
+		mut  func(*config)
+	}{
+		{"-shards", func(c *config) { c.shards = 0 }},
+		{"-shard-queue", func(c *config) { c.shardQueue = -1 }},
+		{"-max-sessions", func(c *config) { c.maxSessions = 0 }},
+		{"-snapshot-every", func(c *config) { c.snapshotEvery = 0 }},
+		{"-fsync", func(c *config) { c.fsync = "sometimes" }},
+		{"-fsync", func(c *config) { c.fsync = "sometimes"; c.dataDir = t.TempDir() }},
+	}
+	for _, tc := range cases {
+		cfg := good
+		tc.mut(&cfg)
+		err := cfg.validate()
+		if err == nil {
+			t.Fatalf("%s: bad config %+v accepted", tc.flag, cfg)
+		}
+		if !strings.Contains(err.Error(), tc.flag) {
+			t.Fatalf("%s: error %q does not name the flag", tc.flag, err)
+		}
 	}
 }

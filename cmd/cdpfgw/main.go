@@ -7,13 +7,7 @@
 // Usage:
 //
 //	cdpfgw -backends NAME=HOST:PORT,NAME=HOST:PORT,...
-//	       [-addr HOST:PORT] [-addr-file FILE]
-//	       [-probe-every D] [-probe-flap K] [-probe-jitter F]
-//	       [-export-retry D] [-export-backoff D] [-export-backoff-max D]
-//	       [-route-passes N] [-route-backoff D] [-route-backoff-max D]
-//	       [-park-timeout D] [-breaker-failures N] [-breaker-cooldown D]
-//	       [-attempt-timeout D] [-census-timeout D] [-scrape-timeout D]
-//	       [-drain-timeout D] [-version]
+//	       [-addr HOST:PORT] [-addr-file FILE] [-probe-every D] [-version]
 //
 // The gateway probes every backend's /healthz on -probe-every. When a
 // backend transitions to "draining" (a cdpfd that received SIGTERM with
@@ -47,28 +41,14 @@ import (
 )
 
 type config struct {
-	addr         string
-	addrFile     string
-	backends     string
-	probeEvery   time.Duration
-	probeFlap    int
-	probeJitter  float64
-	exportRetry  time.Duration
-	drainTimeout time.Duration
-
-	// data-path hardening knobs (defaults match the gateway's built-ins)
-	censusTimeout    time.Duration
-	scrapeTimeout    time.Duration
-	attemptTimeout   time.Duration
-	exportBackoff    time.Duration
-	exportBackoffMax time.Duration
-	routePasses      int
-	routeBackoff     time.Duration
-	routeBackoffMax  time.Duration
-	parkTimeout      time.Duration
-	breakerFailures  int
-	breakerCooldown  time.Duration
+	addr       string
+	addrFile   string
+	backends   string
+	probeEvery time.Duration
 }
+
+// drainTimeout is the maximum time to wait for connection drain on shutdown.
+const drainTimeout = 10 * time.Second
 
 func main() {
 	var cfg config
@@ -76,21 +56,6 @@ func main() {
 	flag.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening")
 	flag.StringVar(&cfg.backends, "backends", "", "comma-separated NAME=HOST:PORT backend list (required)")
 	flag.DurationVar(&cfg.probeEvery, "probe-every", 500*time.Millisecond, "backend /healthz probe interval")
-	flag.IntVar(&cfg.probeFlap, "probe-flap", 2, "consecutive identical probes required for a ready<->down flip (1 disables damping)")
-	flag.Float64Var(&cfg.probeJitter, "probe-jitter", 0.2, "probe interval jitter fraction in [0,1]")
-	flag.DurationVar(&cfg.exportRetry, "export-retry", 15*time.Second, "how long one session export is retried while the session is busy")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 10*time.Second, "maximum time to wait for connection drain on shutdown")
-	flag.DurationVar(&cfg.censusTimeout, "census-timeout", 2*time.Second, "per-backend session census poll timeout (/cluster)")
-	flag.DurationVar(&cfg.scrapeTimeout, "scrape-timeout", 2*time.Second, "per-backend /metrics scrape timeout")
-	flag.DurationVar(&cfg.attemptTimeout, "attempt-timeout", 10*time.Second, "one buffered proxy attempt's timeout")
-	flag.DurationVar(&cfg.exportBackoff, "export-backoff", 2*time.Millisecond, "base backoff between busy-session export retries")
-	flag.DurationVar(&cfg.exportBackoffMax, "export-backoff-max", 50*time.Millisecond, "backoff ceiling between busy-session export retries")
-	flag.IntVar(&cfg.routePasses, "route-passes", 4, "route-chain passes before a miss is authoritative")
-	flag.DurationVar(&cfg.routeBackoff, "route-backoff", 25*time.Millisecond, "base backoff between route-chain passes")
-	flag.DurationVar(&cfg.routeBackoffMax, "route-backoff-max", 250*time.Millisecond, "backoff ceiling between route-chain passes")
-	flag.DurationVar(&cfg.parkTimeout, "park-timeout", 30*time.Second, "how long requests park while the fleet is unsettled before failing")
-	flag.IntVar(&cfg.breakerFailures, "breaker-failures", 5, "consecutive connection failures that open a backend's breaker")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -107,43 +72,10 @@ func main() {
 	}
 }
 
-// validate rejects nonsensical knob combinations before anything binds.
+// validate rejects nonsensical flag values before anything binds.
 func (cfg config) validate() error {
-	switch {
-	case cfg.probeEvery <= 0:
+	if cfg.probeEvery <= 0 {
 		return fmt.Errorf("-probe-every must be positive, got %v", cfg.probeEvery)
-	case cfg.probeFlap < 1:
-		return fmt.Errorf("-probe-flap must be >= 1, got %d", cfg.probeFlap)
-	case cfg.probeJitter < 0 || cfg.probeJitter > 1:
-		return fmt.Errorf("-probe-jitter must be in [0,1], got %v", cfg.probeJitter)
-	case cfg.exportRetry <= 0:
-		return fmt.Errorf("-export-retry must be positive, got %v", cfg.exportRetry)
-	case cfg.drainTimeout <= 0:
-		return fmt.Errorf("-drain-timeout must be positive, got %v", cfg.drainTimeout)
-	case cfg.censusTimeout <= 0:
-		return fmt.Errorf("-census-timeout must be positive, got %v", cfg.censusTimeout)
-	case cfg.scrapeTimeout <= 0:
-		return fmt.Errorf("-scrape-timeout must be positive, got %v", cfg.scrapeTimeout)
-	case cfg.attemptTimeout <= 0:
-		return fmt.Errorf("-attempt-timeout must be positive, got %v", cfg.attemptTimeout)
-	case cfg.exportBackoff <= 0:
-		return fmt.Errorf("-export-backoff must be positive, got %v", cfg.exportBackoff)
-	case cfg.exportBackoffMax < cfg.exportBackoff:
-		return fmt.Errorf("-export-backoff-max (%v) must be >= -export-backoff (%v)",
-			cfg.exportBackoffMax, cfg.exportBackoff)
-	case cfg.routePasses < 1:
-		return fmt.Errorf("-route-passes must be >= 1, got %d", cfg.routePasses)
-	case cfg.routeBackoff <= 0:
-		return fmt.Errorf("-route-backoff must be positive, got %v", cfg.routeBackoff)
-	case cfg.routeBackoffMax < cfg.routeBackoff:
-		return fmt.Errorf("-route-backoff-max (%v) must be >= -route-backoff (%v)",
-			cfg.routeBackoffMax, cfg.routeBackoff)
-	case cfg.parkTimeout <= 0:
-		return fmt.Errorf("-park-timeout must be positive, got %v", cfg.parkTimeout)
-	case cfg.breakerFailures < 1:
-		return fmt.Errorf("-breaker-failures must be >= 1, got %d", cfg.breakerFailures)
-	case cfg.breakerCooldown <= 0:
-		return fmt.Errorf("-breaker-cooldown must be positive, got %v", cfg.breakerCooldown)
 	}
 	return nil
 }
@@ -184,28 +116,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	gw, err := gateway.New(gateway.Config{
-		Ring:             r,
-		ExportRetry:      cfg.exportRetry,
-		ExportBackoff:    cfg.exportBackoff,
-		ExportBackoffMax: cfg.exportBackoffMax,
-		Route: gateway.RetryConfig{
-			Passes: cfg.routePasses,
-			Base:   cfg.routeBackoff,
-			Max:    cfg.routeBackoffMax,
-		},
-		ParkTimeout:    cfg.parkTimeout,
-		AttemptTimeout: cfg.attemptTimeout,
-		CensusTimeout:  cfg.censusTimeout,
-		ScrapeTimeout:  cfg.scrapeTimeout,
-		Breaker: gateway.BreakerConfig{
-			Failures: cfg.breakerFailures,
-			Cooldown: cfg.breakerCooldown,
-		},
-	})
-	if err != nil {
-		return err
-	}
+	gw := gateway.New(r)
 
 	// The prober drives auto-evacuation: the moment a backend reports
 	// "draining", its sessions are pulled off it (MigrateBackend is
@@ -215,8 +126,6 @@ func run(cfg config) error {
 	prober := &ring.Prober{
 		Ring:     r,
 		Interval: cfg.probeEvery,
-		FlapK:    cfg.probeFlap,
-		Jitter:   cfg.probeJitter,
 		OnTransition: func(name string, from, to ring.Health) {
 			log.Printf("cdpfgw: backend %s: %s -> %s", name, from, to)
 			gw.NoteHealth(name, from, to)
@@ -264,7 +173,7 @@ func run(cfg config) error {
 	case <-ctx.Done():
 	}
 	log.Printf("cdpfgw: signal received, shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)

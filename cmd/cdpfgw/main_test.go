@@ -30,27 +30,12 @@ func TestParseBackends(t *testing.T) {
 	}
 }
 
-// defaults mirrors main()'s flag defaults; tests mutate one knob at a time.
+// defaults mirrors main()'s flag defaults; tests mutate one flag at a time.
 func defaults() config {
 	return config{
-		addr:             "127.0.0.1:0",
-		backends:         "b0=127.0.0.1:9000",
-		probeEvery:       500 * time.Millisecond,
-		probeFlap:        2,
-		probeJitter:      0.2,
-		exportRetry:      15 * time.Second,
-		drainTimeout:     10 * time.Second,
-		censusTimeout:    2 * time.Second,
-		scrapeTimeout:    2 * time.Second,
-		attemptTimeout:   10 * time.Second,
-		exportBackoff:    2 * time.Millisecond,
-		exportBackoffMax: 50 * time.Millisecond,
-		routePasses:      4,
-		routeBackoff:     25 * time.Millisecond,
-		routeBackoffMax:  250 * time.Millisecond,
-		parkTimeout:      30 * time.Second,
-		breakerFailures:  5,
-		breakerCooldown:  time.Second,
+		addr:       "127.0.0.1:0",
+		backends:   "b0=127.0.0.1:9000",
+		probeEvery: 500 * time.Millisecond,
 	}
 }
 
@@ -66,22 +51,6 @@ func TestValidateRejects(t *testing.T) {
 		mut  func(*config)
 	}{
 		{"zero probe interval", func(c *config) { c.probeEvery = 0 }},
-		{"flap below one", func(c *config) { c.probeFlap = 0 }},
-		{"jitter above one", func(c *config) { c.probeJitter = 1.5 }},
-		{"negative jitter", func(c *config) { c.probeJitter = -0.1 }},
-		{"zero export retry", func(c *config) { c.exportRetry = 0 }},
-		{"zero drain timeout", func(c *config) { c.drainTimeout = 0 }},
-		{"zero census timeout", func(c *config) { c.censusTimeout = 0 }},
-		{"zero scrape timeout", func(c *config) { c.scrapeTimeout = 0 }},
-		{"zero attempt timeout", func(c *config) { c.attemptTimeout = 0 }},
-		{"zero export backoff", func(c *config) { c.exportBackoff = 0 }},
-		{"export backoff max below base", func(c *config) { c.exportBackoffMax = time.Millisecond }},
-		{"zero route passes", func(c *config) { c.routePasses = 0 }},
-		{"zero route backoff", func(c *config) { c.routeBackoff = 0 }},
-		{"route backoff max below base", func(c *config) { c.routeBackoffMax = time.Millisecond }},
-		{"zero park timeout", func(c *config) { c.parkTimeout = 0 }},
-		{"zero breaker failures", func(c *config) { c.breakerFailures = 0 }},
-		{"zero breaker cooldown", func(c *config) { c.breakerCooldown = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -53,7 +53,7 @@ func TestClusterCrashByteIdentity(t *testing.T) {
 		stepWait:   30 * time.Second,
 		cluster:    3,
 		daemon:     cdpfd + " -fsync interval -snapshot-every 4 -shards 2",
-		gatewayCmd: cdpfgw + " -probe-every 100ms -probe-flap 2",
+		gatewayCmd: cdpfgw + " -probe-every 100ms",
 		killAfter:  20,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)

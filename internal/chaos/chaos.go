@@ -29,9 +29,10 @@ type Config struct {
 	Schedule Schedule
 	// Listen is the address to bind ("127.0.0.1:0" when empty).
 	Listen string
-	// DialTimeout bounds the upstream dial (default 5s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds the upstream dial.
+const dialTimeout = 5 * time.Second
 
 // Proxy is a single-backend fault-injecting TCP proxy. Fault decisions are
 // made sequentially in the accept loop — before the handler goroutine spawns
@@ -59,9 +60,6 @@ func Start(cfg Config) (*Proxy, error) {
 	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -221,7 +219,7 @@ func (p *Proxy) inject(client net.Conn, r Rule) {
 // response byte"); rate > 0 throttles the backend→client direction to that
 // many bytes/sec.
 func (p *Proxy) splice(client net.Conn, truncAfter, rate int64) {
-	upstream, err := net.DialTimeout("tcp", p.cfg.Target, p.cfg.DialTimeout)
+	upstream, err := net.DialTimeout("tcp", p.cfg.Target, dialTimeout)
 	if err != nil {
 		abort(client)
 		return

@@ -28,7 +28,7 @@ type FsyncPolicy int
 
 const (
 	// FsyncInterval (default): a background flusher fsyncs dirty segments
-	// every FsyncInterval. Bounded loss window on power failure, negligible
+	// every fsyncPeriod. Bounded loss window on power failure, negligible
 	// per-append cost.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways: fsync after every append. Maximum durability.
@@ -68,13 +68,10 @@ type Options struct {
 	Dir string
 	// Fsync selects the WAL sync policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncInterval is the background flush period under FsyncInterval
-	// (default 100ms).
-	FsyncInterval time.Duration
-	// Counters receives durability metrics; a fresh one is installed when
-	// nil.
-	Counters *Counters
 }
+
+// fsyncPeriod is the background flush period under FsyncInterval.
+const fsyncPeriod = 100 * time.Millisecond
 
 // Store owns a durability directory for the lifetime of one daemon boot.
 // One WAL generation is claimed at Open; each shard lazily opens its segment
@@ -102,10 +99,7 @@ func Open(opt Options) (*Store, *Recovery, error) {
 	if opt.Dir == "" {
 		return nil, nil, fmt.Errorf("durable: Options.Dir is required")
 	}
-	c := opt.Counters
-	if c == nil {
-		c = new(Counters)
-	}
+	c := new(Counters)
 	for _, sub := range []string{walDirName, snapDirName} {
 		if err := os.MkdirAll(filepath.Join(opt.Dir, sub), 0o755); err != nil {
 			return nil, nil, err
@@ -128,12 +122,8 @@ func Open(opt Options) (*Store, *Recovery, error) {
 		stopCh:  make(chan struct{}),
 	}
 	if s.policy == FsyncInterval {
-		interval := opt.FsyncInterval
-		if interval <= 0 {
-			interval = 100 * time.Millisecond
-		}
 		s.flushWG.Add(1)
-		go s.flushLoop(interval)
+		go s.flushLoop()
 	}
 	return s, rec, nil
 }
@@ -254,9 +244,9 @@ func (s *Store) saveSnapshot(snap *Snapshot) error {
 }
 
 // flushLoop periodically fsyncs dirty segments under FsyncInterval.
-func (s *Store) flushLoop(interval time.Duration) {
+func (s *Store) flushLoop() {
 	defer s.flushWG.Done()
-	t := time.NewTicker(interval)
+	t := time.NewTicker(fsyncPeriod)
 	defer t.Stop()
 	for {
 		select {

@@ -244,12 +244,12 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		if err := os.WriteFile(seg, append(readFile(t, seg), tail...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c := new(Counters)
-		st2, rec, err := Open(Options{Dir: dir, Fsync: FsyncNone, Counters: c})
+		st2, rec, err := Open(Options{Dir: dir, Fsync: FsyncNone})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st2.Close()
+		c := st2.Counters()
 		if got := len(rec.Sessions["s"].Batches); got != 1 {
 			t.Fatalf("recovered %d batches, want 1", got)
 		}
@@ -265,12 +265,12 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		}
 	}
 	// A clean reopen counts no further truncations.
-	c := new(Counters)
-	st3, _, err := Open(Options{Dir: dir, Fsync: FsyncNone, Counters: c})
+	st3, _, err := Open(Options{Dir: dir, Fsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st3.Close()
+	c := st3.Counters()
 	if c.TruncatedTails.Load() != 0 {
 		t.Fatalf("clean segments still truncated: %d", c.TruncatedTails.Load())
 	}

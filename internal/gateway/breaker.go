@@ -6,34 +6,17 @@ import (
 	"time"
 )
 
-// BreakerConfig tunes the per-backend circuit breakers.
-type BreakerConfig struct {
-	// Failures is how many consecutive connection-level failures open the
-	// breaker. 0 defaults to 5.
-	Failures int
-	// Cooldown is how long an open breaker waits before letting one
-	// half-open probe through. 0 defaults to 1s.
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Failures <= 0 {
-		c.Failures = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
-	}
-	return c
-}
-
 // breaker is a per-backend circuit breaker over *connection-level* failures
 // only — an HTTP response of any status is proof the backend is alive and
-// counts as success. Closed admits everything; after Failures consecutive
+// counts as success. Closed admits everything; after failures consecutive
 // failures it opens and the backend is skipped in route chains; after
-// Cooldown one half-open probe is admitted, and its outcome closes or
+// cooldown one half-open probe is admitted, and its outcome closes or
 // re-opens the breaker.
 type breaker struct {
-	cfg BreakerConfig
+	// failures and cooldown start at breakerFailures and breakerCooldown;
+	// tests shorten them.
+	failures int
+	cooldown time.Duration
 
 	mu       sync.Mutex
 	state    breakerState
@@ -63,8 +46,8 @@ func (s breakerState) String() string {
 	}
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg.withDefaults()}
+func newBreaker() *breaker {
+	return &breaker{failures: breakerFailures, cooldown: breakerCooldown}
 }
 
 // allow reports whether an attempt may be sent to this backend now. In the
@@ -76,7 +59,7 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if time.Since(b.openedAt) < b.cfg.Cooldown {
+		if time.Since(b.openedAt) < b.cooldown {
 			return false
 		}
 		b.state = breakerHalfOpen
@@ -108,12 +91,12 @@ func (b *breaker) fail() {
 		b.state = breakerOpen
 		b.openedAt = time.Now()
 		b.probing = false
-		b.fails = b.cfg.Failures
+		b.fails = b.failures
 		b.opens.Add(1)
 		return
 	}
 	b.fails++
-	if b.state == breakerClosed && b.fails >= b.cfg.Failures {
+	if b.state == breakerClosed && b.fails >= b.failures {
 		b.state = breakerOpen
 		b.openedAt = time.Now()
 		b.opens.Add(1)

@@ -13,7 +13,8 @@ import (
 // TestBreakerStateMachine walks closed → open → half-open → closed and the
 // half-open failure re-open, with a short cooldown.
 func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(BreakerConfig{Failures: 3, Cooldown: 20 * time.Millisecond})
+	b := newBreaker()
+	b.failures, b.cooldown = 3, 20*time.Millisecond
 	if !b.allow() || b.current() != breakerClosed {
 		t.Fatal("new breaker should be closed and admitting")
 	}
@@ -75,10 +76,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffBounds: full jitter stays in [0, min(Max, Base·2ⁿ)] and
+// TestRetryBackoffBounds: full jitter stays in [0, min(max, base·2ⁿ)] and
 // is not constant.
 func TestRetryBackoffBounds(t *testing.T) {
-	rc := RetryConfig{Passes: 4, Base: 10 * time.Millisecond, Max: 40 * time.Millisecond}
+	rc := retryConfig{passes: 4, base: 10 * time.Millisecond, max: 40 * time.Millisecond}
 	ceilings := []time.Duration{10, 20, 40, 40, 40} // ms, per pass
 	distinct := make(map[time.Duration]bool)
 	for pass, ceilMs := range ceilings {
@@ -101,9 +102,11 @@ func TestRetryBackoffBounds(t *testing.T) {
 // after the failure threshold, and skipped attempts show up in /metrics and
 // /cluster. No client request fails.
 func TestBreakerShieldsDeadBackend(t *testing.T) {
-	tc := newTestClusterCfg(t, 3, func(cfg *Config) {
-		cfg.Breaker = BreakerConfig{Failures: 3, Cooldown: 10 * time.Second}
-		cfg.ParkTimeout = 300 * time.Millisecond // don't stall the test parking
+	tc := newTestClusterCfg(t, 3, func(g *Gateway) {
+		for _, br := range g.breakers {
+			br.failures, br.cooldown = 3, 10*time.Second
+		}
+		g.parkTimeout = 300 * time.Millisecond // don't stall the test parking
 	})
 	// Kill b2's listener: conn refused, the crash the prober hasn't seen yet.
 	dead := "b2"

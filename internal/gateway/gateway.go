@@ -16,7 +16,7 @@
 // per-backend circuit breaker stops hammering a dead backend, every retry
 // sleeps under an exponential-backoff-with-full-jitter budget, and when the
 // ring is unsettled — some member Down or Recovering — requests for possibly
-// affected sessions park until the fleet heals (bounded by ParkTimeout)
+// affected sessions park until the fleet heals (bounded by parkTimeout)
 // instead of surfacing transient 404s/503s. A backend crash therefore costs
 // its clients latency, not errors.
 package gateway
@@ -37,55 +37,58 @@ import (
 	"repro/internal/version"
 )
 
-// Config wires a Gateway.
-type Config struct {
-	// Ring is the backend membership; required.
-	Ring *ring.Ring
-	// Client performs all proxied requests. nil defaults to a client with no
-	// global timeout (SSE streams live arbitrarily long) but a response-
-	// header timeout, so a blackholed backend cannot hang an attempt forever.
-	Client *http.Client
-	// ExportRetry bounds how long one session export is retried while the
-	// session still has queued batches (409). 0 defaults to 15s.
-	ExportRetry time.Duration
-	// ExportBackoff / ExportBackoffMax shape the 409-retry backoff inside
-	// one export (full jitter). Defaults 2ms / 50ms.
-	ExportBackoff    time.Duration
-	ExportBackoffMax time.Duration
-	// Route is the data-path retry budget: how many times the whole route
-	// chain is re-walked and how backoff between passes grows.
-	// Defaults {Passes: 4, Base: 25ms, Max: 250ms}.
-	Route RetryConfig
-	// ParkTimeout bounds how long a request parks while the ring is
-	// unsettled (a member Down or Recovering) before failing. 0 defaults
-	// to 30s.
-	ParkTimeout time.Duration
-	// AttemptTimeout bounds one buffered proxy attempt (not SSE streams).
-	// 0 defaults to 10s.
-	AttemptTimeout time.Duration
-	// CensusTimeout bounds one backend census poll for /cluster. 0: 2s.
-	CensusTimeout time.Duration
-	// ScrapeTimeout bounds one backend /metrics scrape. 0: 2s.
-	ScrapeTimeout time.Duration
-	// Breaker tunes the per-backend circuit breakers.
-	Breaker BreakerConfig
-}
+// The gateway's timers and budgets. Each is a constant because no
+// deployment has needed another value; keeping them in one block gives a
+// latency attribution one place to read them.
+const (
+	// exportRetry bounds how long one session export is retried while the
+	// session still has queued batches (409).
+	exportRetry = 15 * time.Second
+	// exportBackoffBase / exportBackoffMax shape the 409-retry backoff inside
+	// one export (full jitter).
+	exportBackoffBase = 2 * time.Millisecond
+	exportBackoffMax  = 50 * time.Millisecond
+	// routePasses, routeBackoffBase and routeBackoffMax are the data-path
+	// retry budget: how many times the whole route chain is re-walked and
+	// how backoff between passes grows.
+	routePasses      = 4
+	routeBackoffBase = 25 * time.Millisecond
+	routeBackoffMax  = 250 * time.Millisecond
+	// parkTimeout bounds how long a request parks while the ring is
+	// unsettled (a member Down or Recovering) before failing.
+	parkTimeout = 30 * time.Second
+	// attemptTimeout bounds one buffered proxy attempt (not SSE streams).
+	attemptTimeout = 10 * time.Second
+	// responseHeaderTimeout bounds the wait for a backend's response
+	// headers. The proxy client has no global timeout (SSE streams live
+	// arbitrarily long), so this is what keeps a blackholed backend from
+	// hanging an attempt forever.
+	responseHeaderTimeout = 10 * time.Second
+	// censusTimeout bounds one backend census poll for /cluster.
+	censusTimeout = 2 * time.Second
+	// scrapeTimeout bounds one backend /metrics scrape.
+	scrapeTimeout = 2 * time.Second
+	// breakerFailures is how many consecutive connection-level failures
+	// open a backend's breaker.
+	breakerFailures = 5
+	// breakerCooldown is how long an open breaker waits before letting one
+	// half-open probe through.
+	breakerCooldown = time.Second
+)
 
 // Gateway is the http.Handler. All state is routing state: the ring, the
 // in-flight migration holds, the breakers, and counters.
 type Gateway struct {
-	ring           *ring.Ring
-	client         *http.Client
-	exportRetry    time.Duration
-	exportBackoff  RetryConfig
-	route          RetryConfig
-	parkTimeout    time.Duration
-	attemptTimeout time.Duration
-	censusTimeout  time.Duration
-	scrapeTimeout  time.Duration
-	breakers       map[string]*breaker
-	met            metrics
-	mux            *http.ServeMux
+	ring     *ring.Ring
+	client   *http.Client
+	breakers map[string]*breaker
+	met      metrics
+	mux      *http.ServeMux
+
+	// route and parkTimeout start at the package constants; tests shorten
+	// them to keep park and retry drills fast.
+	route       retryConfig
+	parkTimeout time.Duration
 
 	mu        sync.Mutex
 	migrating map[string]chan struct{} // session id -> closed when its handoff completes
@@ -95,48 +98,21 @@ type Gateway struct {
 }
 
 // New builds a gateway over the ring.
-func New(cfg Config) (*Gateway, error) {
-	if cfg.Ring == nil {
-		return nil, fmt.Errorf("gateway: Config.Ring is required")
-	}
+func New(r *ring.Ring) *Gateway {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.ResponseHeaderTimeout = responseHeaderTimeout
 	g := &Gateway{
-		ring:           cfg.Ring,
-		client:         cfg.Client,
-		exportRetry:    cfg.ExportRetry,
-		route:          cfg.Route.withDefaults(4, 25*time.Millisecond, 250*time.Millisecond),
-		parkTimeout:    cfg.ParkTimeout,
-		attemptTimeout: cfg.AttemptTimeout,
-		censusTimeout:  cfg.CensusTimeout,
-		scrapeTimeout:  cfg.ScrapeTimeout,
-		breakers:       make(map[string]*breaker),
-		migrating:      make(map[string]chan struct{}),
-		evacuated:      make(map[string]bool),
-		mux:            http.NewServeMux(),
+		ring:        r,
+		client:      &http.Client{Transport: tr},
+		breakers:    make(map[string]*breaker),
+		route:       retryConfig{passes: routePasses, base: routeBackoffBase, max: routeBackoffMax},
+		parkTimeout: parkTimeout,
+		migrating:   make(map[string]chan struct{}),
+		evacuated:   make(map[string]bool),
+		mux:         http.NewServeMux(),
 	}
-	g.exportBackoff = RetryConfig{Base: cfg.ExportBackoff, Max: cfg.ExportBackoffMax}.
-		withDefaults(1, 2*time.Millisecond, 50*time.Millisecond)
-	if g.client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.ResponseHeaderTimeout = 10 * time.Second
-		g.client = &http.Client{Transport: tr}
-	}
-	if g.exportRetry <= 0 {
-		g.exportRetry = 15 * time.Second
-	}
-	if g.parkTimeout <= 0 {
-		g.parkTimeout = 30 * time.Second
-	}
-	if g.attemptTimeout <= 0 {
-		g.attemptTimeout = 10 * time.Second
-	}
-	if g.censusTimeout <= 0 {
-		g.censusTimeout = 2 * time.Second
-	}
-	if g.scrapeTimeout <= 0 {
-		g.scrapeTimeout = 2 * time.Second
-	}
-	for _, m := range cfg.Ring.Members() {
-		g.breakers[m.Name] = newBreaker(cfg.Breaker)
+	for _, m := range r.Members() {
+		g.breakers[m.Name] = newBreaker()
 	}
 	g.mux.HandleFunc("POST /v1/sessions", g.handleCreate)
 	g.mux.HandleFunc("GET /v1/sessions/{id}", g.handleSession)
@@ -146,7 +122,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("GET /cluster", g.handleCluster)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	return g, nil
+	return g
 }
 
 // Ring exposes the membership (the prober and tests need it).
@@ -281,7 +257,7 @@ func (o passOutcome) parkable(unsettledRing bool) bool {
 //
 // When a pass fails while the fleet looks unhealthy, the request parks:
 // it keeps re-walking the chain under the jittered backoff until the fleet
-// heals or ParkTimeout expires. Requests for a session mid-handoff wait for
+// heals or parkTimeout expires. Requests for a session mid-handoff wait for
 // the handoff first.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key, method, path string, body []byte) {
 	g.met.requests.Add(1)
@@ -314,7 +290,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key, method, p
 		switch {
 		case parking && time.Now().Before(parkDeadline):
 			// keep passing; backoff below
-		case pass+1 < g.route.Passes:
+		case pass+1 < g.route.passes:
 			// plain retry budget (settled ring, e.g. migration race)
 		default:
 			if parking {
@@ -412,9 +388,9 @@ func (res *backendResult) write(w http.ResponseWriter) {
 }
 
 // do performs one buffered attempt against one backend, bounded by
-// AttemptTimeout so one hung backend cannot eat the whole retry budget.
+// attemptTimeout so one hung backend cannot eat the whole retry budget.
 func (g *Gateway) do(r *http.Request, b ring.Backend, method, path string, body []byte) (*backendResult, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), g.attemptTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, b.Addr+path, strings.NewReader(string(body)))
 	if err != nil {
@@ -533,7 +509,7 @@ func (g *Gateway) handleEstimates(w http.ResponseWriter, r *http.Request) {
 		}
 		switch {
 		case parking && time.Now().Before(parkDeadline):
-		case pass+1 < g.route.Passes:
+		case pass+1 < g.route.passes:
 		default:
 			if parked && parking {
 				g.met.parkTimeouts.Add(1)
@@ -624,7 +600,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 
 // countSessions polls one backend's live session count; -1 when unreachable.
 func (g *Gateway) countSessions(ctx context.Context, addr string) int {
-	ctx, cancel := context.WithTimeout(ctx, g.censusTimeout)
+	ctx, cancel := context.WithTimeout(ctx, censusTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/admin/sessions", nil)
 	if err != nil {

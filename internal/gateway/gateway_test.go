@@ -30,12 +30,12 @@ type testCluster struct {
 }
 
 func newTestCluster(t *testing.T, n int) *testCluster {
-	return newTestClusterCfg(t, n, func(cfg *Config) {})
+	return newTestClusterCfg(t, n, func(*Gateway) {})
 }
 
-// newTestClusterCfg lets a test tune the gateway config (breaker thresholds,
-// park timeout, retry budget) before the gateway is built.
-func newTestClusterCfg(t *testing.T, n int, tune func(*Config)) *testCluster {
+// newTestClusterCfg lets a test tune the built gateway (breaker thresholds,
+// park timeout, retry budget) before it starts serving.
+func newTestClusterCfg(t *testing.T, n int, tune func(*Gateway)) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		t:     t,
@@ -64,14 +64,9 @@ func newTestClusterCfg(t *testing.T, n int, tune func(*Config)) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Ring: r}
-	tune(&cfg)
-	gw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.gw = gw
-	tc.gwSrv = httptest.NewServer(gw)
+	tc.gw = New(r)
+	tune(tc.gw)
+	tc.gwSrv = httptest.NewServer(tc.gw)
 	t.Cleanup(tc.gwSrv.Close)
 	return tc
 }

@@ -120,7 +120,7 @@ func (g *Gateway) scrapeBackends(r *http.Request) (map[string]float64, int) {
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			local, err := scrapeOne(g.client, r, addr, g.scrapeTimeout)
+			local, err := scrapeOne(g.client, r, addr)
 			if err != nil {
 				return
 			}
@@ -137,8 +137,8 @@ func (g *Gateway) scrapeBackends(r *http.Request) (map[string]float64, int) {
 }
 
 // scrapeOne fetches one backend's exposition and parses it into key->value.
-func scrapeOne(client *http.Client, r *http.Request, addr string, timeout time.Duration) (map[string]float64, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+func scrapeOne(client *http.Client, r *http.Request, addr string) (map[string]float64, error) {
+	ctx, cancel := context.WithTimeout(r.Context(), scrapeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/metrics", nil)
 	if err != nil {

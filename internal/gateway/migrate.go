@@ -164,9 +164,9 @@ func (g *Gateway) waitMigration(ctx context.Context, id string) error {
 // exportSession POSTs the export endpoint until the session is quiescent: a
 // 409 means batches are still queued (the shard will step them in
 // microseconds to milliseconds), so retry under the shared full-jitter
-// backoff until ExportRetry runs out.
+// backoff until exportRetry runs out.
 func (g *Gateway) exportSession(ctx context.Context, addr, id string) ([]byte, error) {
-	deadline := time.Now().Add(g.exportRetry)
+	deadline := time.Now().Add(exportRetry)
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			addr+"/admin/sessions/"+id+"/export", nil)
@@ -193,12 +193,12 @@ func (g *Gateway) exportSession(ctx context.Context, addr, id string) ([]byte, e
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("export: session stayed busy past %v", g.exportRetry)
+				return nil, fmt.Errorf("export: session stayed busy past %v", exportRetry)
 			}
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(g.exportBackoff.backoff(attempt)):
+			case <-time.After(retryConfig{base: exportBackoffBase, max: exportBackoffMax}.backoff(attempt)):
 			}
 		default:
 			data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))

@@ -17,8 +17,8 @@ import (
 // failing, and when the backend comes back they complete — zero client-
 // visible errors, just latency.
 func TestParkRidesThroughRecovery(t *testing.T) {
-	tc := newTestClusterCfg(t, 2, func(cfg *Config) {
-		cfg.ParkTimeout = 5 * time.Second
+	tc := newTestClusterCfg(t, 2, func(g *Gateway) {
+		g.parkTimeout = 5 * time.Second
 	})
 	spec := testSpec("park-1", 4, 11)
 	_, owner := tc.create(spec)
@@ -71,11 +71,11 @@ func TestParkRidesThroughRecovery(t *testing.T) {
 }
 
 // TestParkTimesOutEventually: if the fleet never heals, parked requests fail
-// after ParkTimeout with a 5xx — bounded patience, not a hang.
+// after parkTimeout with a 5xx — bounded patience, not a hang.
 func TestParkTimesOutEventually(t *testing.T) {
-	tc := newTestClusterCfg(t, 2, func(cfg *Config) {
-		cfg.ParkTimeout = 200 * time.Millisecond
-		cfg.Route = RetryConfig{Passes: 2, Base: 10 * time.Millisecond, Max: 20 * time.Millisecond}
+	tc := newTestClusterCfg(t, 2, func(g *Gateway) {
+		g.parkTimeout = 200 * time.Millisecond
+		g.route = retryConfig{passes: 2, base: 10 * time.Millisecond, max: 20 * time.Millisecond}
 	})
 	spec := testSpec("park-timeout-1", 4, 3)
 	_, owner := tc.create(spec)

@@ -15,54 +15,43 @@ type obs struct {
 func TestFlapDamping(t *testing.T) {
 	cases := []struct {
 		name  string
-		flapK int
 		start Health
 		seq   []obs
 	}{
 		{
 			name:  "single blip does not mark down",
-			flapK: 2, start: Ready,
-			seq: []obs{{Down, Ready}, {Ready, Ready}, {Down, Ready}, {Ready, Ready}},
+			start: Ready,
+			seq:   []obs{{Down, Ready}, {Ready, Ready}, {Down, Ready}, {Ready, Ready}},
 		},
 		{
 			name:  "sustained down confirms after K",
-			flapK: 2, start: Ready,
-			seq: []obs{{Down, Ready}, {Down, Down}},
-		},
-		{
-			name:  "k3 needs three in a row",
-			flapK: 3, start: Ready,
-			seq: []obs{{Down, Ready}, {Down, Ready}, {Ready, Ready}, {Down, Ready}, {Down, Ready}, {Down, Down}},
+			start: Ready,
+			seq:   []obs{{Down, Ready}, {Down, Down}},
 		},
 		{
 			name:  "recovery back to ready is also damped",
-			flapK: 2, start: Down,
-			seq: []obs{{Ready, Down}, {Down, Down}, {Ready, Down}, {Ready, Ready}},
+			start: Down,
+			seq:   []obs{{Ready, Down}, {Down, Down}, {Ready, Down}, {Ready, Ready}},
 		},
 		{
 			name:  "draining is immediate despite damping",
-			flapK: 3, start: Ready,
-			seq: []obs{{Draining, Draining}},
+			start: Ready,
+			seq:   []obs{{Draining, Draining}},
 		},
 		{
 			name:  "recovering is immediate from down",
-			flapK: 3, start: Down,
-			seq: []obs{{Recovering, Recovering}},
+			start: Down,
+			seq:   []obs{{Recovering, Recovering}},
 		},
 		{
 			name:  "first contact from unknown is immediate",
-			flapK: 3, start: Unknown,
-			seq: []obs{{Down, Down}, {Ready, Down}, {Ready, Down}, {Ready, Ready}},
-		},
-		{
-			name:  "damping disabled applies immediately",
-			flapK: 1, start: Ready,
-			seq: []obs{{Down, Down}, {Ready, Ready}, {Down, Down}},
+			start: Unknown,
+			seq:   []obs{{Down, Down}, {Ready, Down}, {Ready, Ready}},
 		},
 		{
 			name:  "streak does not leak across interleaved states",
-			flapK: 2, start: Ready,
-			seq: []obs{{Down, Ready}, {Recovering, Recovering}, {Down, Down}},
+			start: Ready,
+			seq:   []obs{{Down, Ready}, {Recovering, Recovering}, {Down, Down}},
 			// Recovering applies immediately; the subsequent Down is a
 			// Recovering→Down transition, which is NOT in the damped pair,
 			// so it applies at once.
@@ -77,7 +66,7 @@ func TestFlapDamping(t *testing.T) {
 			if tc.start != Unknown {
 				r.SetHealth("b0", tc.start, "")
 			}
-			p := &Prober{Ring: r, FlapK: tc.flapK}
+			p := &Prober{Ring: r}
 			for i, o := range tc.seq {
 				p.observe("b0", o.see, "")
 				got, _ := r.HealthOf("b0")
@@ -99,7 +88,7 @@ func TestFlapDampingTransitionCallback(t *testing.T) {
 	}
 	r.SetHealth("b0", Ready, "")
 	var fired []string
-	p := &Prober{Ring: r, FlapK: 2, OnTransition: func(name string, from, to Health) {
+	p := &Prober{Ring: r, OnTransition: func(name string, from, to Health) {
 		fired = append(fired, from.String()+"->"+to.String())
 	}}
 	for _, h := range []Health{Down, Ready, Down, Down, Down} {
@@ -110,17 +99,14 @@ func TestFlapDampingTransitionCallback(t *testing.T) {
 	}
 }
 
-// TestJitteredInterval: jittered delays stay within [iv(1−j), iv(1+j)] and
-// actually vary.
+// TestJitteredInterval: jittered delays stay within [iv(1−j), iv(1+j)] for
+// the prober's jitter j = 0.2 and actually vary.
 func TestJitteredInterval(t *testing.T) {
 	const iv = 100 * time.Millisecond
-	if d := jittered(iv, 0); d != iv {
-		t.Fatalf("zero jitter changed the interval: %v", d)
-	}
 	lo, hi := time.Duration(float64(iv)*0.8), time.Duration(float64(iv)*1.2)
 	seen := make(map[time.Duration]bool)
 	for i := 0; i < 200; i++ {
-		d := jittered(iv, 0.2)
+		d := jittered(iv)
 		if d < lo || d > hi {
 			t.Fatalf("jittered(%v, 0.2) = %v outside [%v, %v]", iv, d, lo, hi)
 		}

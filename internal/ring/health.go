@@ -19,17 +19,7 @@ import (
 //	anything else    -> Down
 type Prober struct {
 	Ring     *Ring
-	Client   *http.Client  // nil: a 2s-timeout client
 	Interval time.Duration // 0: 500ms
-	// FlapK is flap damping: a Ready↔Down transition is applied only after
-	// this many consecutive identical observations (≤1 disables damping).
-	// Transitions involving Recovering, Draining, or Unknown apply
-	// immediately — those phases carry migration/recovery semantics a
-	// gateway must react to on first sight.
-	FlapK int
-	// Jitter spreads probe ticks uniformly over Interval·[1−J, 1+J] so a
-	// fleet of gateways doesn't probe every backend in lockstep. 0 disables.
-	Jitter float64
 	// OnTransition, when non-nil, runs after a member's health changes —
 	// the gateway hooks auto-evacuation here. Called from the prober
 	// goroutine; implementations spawn their own work.
@@ -39,17 +29,26 @@ type Prober struct {
 	streaks map[string]streak
 }
 
+const (
+	// flapK is flap damping: a Ready↔Down transition is applied only after
+	// this many consecutive identical observations. Transitions involving
+	// Recovering, Draining, or Unknown apply immediately — those phases
+	// carry migration/recovery semantics a gateway must react to on first
+	// sight.
+	flapK = 2
+	// probeJitter spreads probe ticks uniformly over
+	// Interval·[1−probeJitter, 1+probeJitter] so a fleet of gateways doesn't
+	// probe every backend in lockstep.
+	probeJitter = 0.2
+)
+
+// probeClient performs every /healthz probe; its timeout bounds one probe.
+var probeClient = &http.Client{Timeout: 2 * time.Second}
+
 // streak counts consecutive identical damped observations for one member.
 type streak struct {
 	h Health
 	n int
-}
-
-func (p *Prober) client() *http.Client {
-	if p.Client != nil {
-		return p.Client
-	}
-	return &http.Client{Timeout: 2 * time.Second}
 }
 
 // classify maps one probe response onto a Health.
@@ -82,29 +81,27 @@ func damped(cur, obs Health) bool {
 // and fires OnTransition on an applied change. Safe for concurrent use
 // across members.
 func (p *Prober) observe(name string, h Health, errMsg string) {
-	if p.FlapK > 1 {
-		cur, ok := p.Ring.HealthOf(name)
-		if ok && damped(cur, h) {
-			p.mu.Lock()
-			s := p.streaks[name]
-			if s.h == h {
-				s.n++
-			} else {
-				s = streak{h: h, n: 1}
-			}
-			if p.streaks == nil {
-				p.streaks = make(map[string]streak)
-			}
-			p.streaks[name] = s
-			p.mu.Unlock()
-			if s.n < p.FlapK {
-				return // not confirmed yet; keep current health
-			}
-		}
+	cur, ok := p.Ring.HealthOf(name)
+	if ok && damped(cur, h) {
 		p.mu.Lock()
-		delete(p.streaks, name)
+		s := p.streaks[name]
+		if s.h == h {
+			s.n++
+		} else {
+			s = streak{h: h, n: 1}
+		}
+		if p.streaks == nil {
+			p.streaks = make(map[string]streak)
+		}
+		p.streaks[name] = s
 		p.mu.Unlock()
+		if s.n < flapK {
+			return // not confirmed yet; keep current health
+		}
 	}
+	p.mu.Lock()
+	delete(p.streaks, name)
+	p.mu.Unlock()
 	prev, ok := p.Ring.SetHealth(name, h, errMsg)
 	if ok && prev != h && p.OnTransition != nil {
 		p.OnTransition(name, prev, h)
@@ -131,7 +128,7 @@ func (p *Prober) probe(ctx context.Context, addr string) (Health, string) {
 	if err != nil {
 		return Down, err.Error()
 	}
-	resp, err := p.client().Do(req)
+	resp, err := probeClient.Do(req)
 	if err != nil {
 		return Down, err.Error()
 	}
@@ -145,16 +142,10 @@ func (p *Prober) probe(ctx context.Context, addr string) (Health, string) {
 }
 
 // jittered returns the next probe delay: iv spread uniformly over
-// [iv·(1−j), iv·(1+j)].
-func jittered(iv time.Duration, j float64) time.Duration {
-	if j <= 0 {
-		return iv
-	}
-	if j > 1 {
-		j = 1
-	}
-	span := 2 * j * float64(iv)
-	d := time.Duration(float64(iv)*(1-j) + rand.Float64()*span)
+// [iv·(1−probeJitter), iv·(1+probeJitter)].
+func jittered(iv time.Duration) time.Duration {
+	span := 2 * probeJitter * float64(iv)
+	d := time.Duration(float64(iv)*(1-probeJitter) + rand.Float64()*span)
 	if d <= 0 {
 		d = time.Millisecond
 	}
@@ -169,7 +160,7 @@ func (p *Prober) Run(ctx context.Context) {
 		iv = 500 * time.Millisecond
 	}
 	p.ProbeOnce(ctx)
-	t := time.NewTimer(jittered(iv, p.Jitter))
+	t := time.NewTimer(jittered(iv))
 	defer t.Stop()
 	for {
 		select {
@@ -177,7 +168,7 @@ func (p *Prober) Run(ctx context.Context) {
 			return
 		case <-t.C:
 			p.ProbeOnce(ctx)
-			t.Reset(jittered(iv, p.Jitter))
+			t.Reset(jittered(iv))
 		}
 	}
 }

@@ -38,14 +38,6 @@ type ManagerConfig struct {
 	// after every Nth iteration bounds WAL replay work on recovery). <= 0
 	// defaults to 32.
 	SnapshotEvery int
-	// StepBatch is the cross-session step batch size: a woken shard drains up
-	// to this many ready iterations from its queue and steps them
-	// back-to-back, amortizing the admission-lock bookkeeping over the whole
-	// batch instead of paying it per step. Per-shard FIFO (and therefore
-	// per-session ordering and the log-before-step WAL invariant) is
-	// unchanged — the drain only moves already-ordered work out of the
-	// channel earlier. <= 0 defaults to 16.
-	StepBatch int
 
 	// stepGate, when non-nil, is received from before every step — a
 	// test-only hook that lets the overload tests stall the shard workers
@@ -66,11 +58,16 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 32
 	}
-	if c.StepBatch <= 0 {
-		c.StepBatch = 16
-	}
 	return c
 }
+
+// stepBatch is the cross-session step batch size: a woken shard drains up to
+// this many ready iterations from its queue and steps them back-to-back,
+// amortizing the admission-lock bookkeeping over the whole batch instead of
+// paying it per step. Per-shard FIFO (and therefore per-session ordering and
+// the log-before-step WAL invariant) is unchanged — the drain only moves
+// already-ordered work out of the channel earlier.
+const stepBatch = 16
 
 // workItem is one queued filter iteration: a session, its batch, and the
 // admission timestamp (the step-latency histogram measures queue-to-stepped
@@ -140,7 +137,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 // per-session FIFO, which together with admission-time sequencing gives
 // every session strictly ordered, exactly-once iterations.
 //
-// A woken shard drains up to StepBatch ready iterations and steps them
+// A woken shard drains up to stepBatch ready iterations and steps them
 // back-to-back: each item still logs to the WAL immediately before its own
 // step (the log-before-step invariant is per item, not per wakeup), but the
 // admission-lock bookkeeping — queued decrements, completion detection — is
@@ -149,7 +146,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 // lengths the overload tests observe stay deterministic.
 func (m *Manager) runShard(shard int, ch chan workItem) {
 	defer m.wg.Done()
-	batchMax := m.cfg.StepBatch
+	batchMax := stepBatch
 	if m.cfg.stepGate != nil {
 		batchMax = 1
 	}

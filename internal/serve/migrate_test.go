@@ -228,3 +228,50 @@ func TestImportRejectsDuplicate(t *testing.T) {
 		t.Fatalf("duplicate import: %v", err)
 	}
 }
+
+// TestMaxSessionsLimit: with MaxSessions live sessions, both admission paths
+// refuse another — Create with 503 max_sessions and no WAL record, Import
+// with 503 — and a session that completes frees its slot.
+func TestMaxSessionsLimit(t *testing.T) {
+	st, _ := openStore(t, t.TempDir())
+	defer st.Close()
+	m := NewManager(ManagerConfig{Shards: 2, MaxSessions: 2, Store: st})
+	defer m.Drain()
+
+	specA, specB := testSpec("max-a", 61), testSpec("max-b", 62)
+	for _, spec := range []SessionSpec{specA, specB} {
+		if _, err := m.Create(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walBefore := st.Counters().WALRecords.Load()
+	var ae *AdmitError
+	_, err := m.Create(testSpec("max-c", 63))
+	if !asAdmit(err, &ae) || ae.Status != 503 || ae.Reason != "max_sessions" {
+		t.Fatalf("third create: %v, want 503 max_sessions", err)
+	}
+	if got := st.Counters().WALRecords.Load(); got != walBefore {
+		t.Fatalf("refused create wrote %d WAL records", got-walBefore)
+	}
+
+	src := NewManager(ManagerConfig{Shards: 1})
+	defer src.Drain()
+	migSpec := testSpec("max-mig", 64)
+	if _, err := src.Create(migSpec); err != nil {
+		t.Fatal(err)
+	}
+	err = m.Import(exportReady(t, src, migSpec.ID))
+	if !asAdmit(err, &ae) || ae.Status != 503 || ae.Reason != "max_sessions" {
+		t.Fatalf("import over the limit: %v, want 503 max_sessions", err)
+	}
+
+	batches, err := Observations(specA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedRange(t, m, specA.ID, batches, 0, len(batches))
+	waitRetired(t, m, specA.ID)
+	if _, err := m.Create(testSpec("max-c", 63)); err != nil {
+		t.Fatalf("create after a session completed: %v", err)
+	}
+}

@@ -299,7 +299,7 @@ func TestDrainClosesStreamsAndRejectsWork(t *testing.T) {
 	if _, err := m.Ingest("drainee", IngestRequest{Batches: batches[:3]}); err != nil {
 		t.Fatal(err)
 	}
-	_, ch, err := m.Subscribe("drainee")
+	snap, ch, err := m.Subscribe("drainee")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +307,10 @@ func TestDrainClosesStreamsAndRejectsWork(t *testing.T) {
 	m.Drain()
 	m.Drain() // idempotent
 
-	// The three admitted batches were stepped; the stream is closed.
-	n := 0
+	// The three admitted batches were stepped; the stream is closed. A
+	// batch the shard stepped before Subscribe is in the snapshot, not on
+	// the channel.
+	n := len(snap)
 	for range ch {
 		n++
 	}
