@@ -411,6 +411,21 @@ func BenchmarkKernelMaskedSum(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelJointLogLik prices the CPF/DPF sink filter's per-particle
+// likelihood: one candidate's joint log likelihood over 64 delivered
+// measurement columns, in the constant-sigma Gaussian lane the sink uses.
+// allocs/op must be 0.
+func BenchmarkKernelJointLogLik(b *testing.B) {
+	b.ReportAllocs()
+	fromX, fromY, z, _, _ := kernelColumns(64)
+	bk := kernel.NewBearing(0.05, 0, 0, 0)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += bk.JointLogLik(fromX, fromY, z, 60, 60)
+	}
+	_ = sink
+}
+
 // BenchmarkKernelOverheardSum prices the propagation-phase overheard-weight
 // aggregation over 64 broadcast columns (allocs/op must be 0).
 func BenchmarkKernelOverheardSum(b *testing.B) {

@@ -66,7 +66,7 @@ func NewCPF(nw *wsn.Network, cfg CPFConfig) (*CPF, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := newSinkFilter(c)
+	f, err := newSinkFilter(c, c.Sensor.SigmaN)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func (c *CPF) Sink() wsn.NodeID { return c.sink }
 // returns the posterior-mean estimate; ok is false until the filter has been
 // initialized by the first detections.
 func (c *CPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok bool) {
-	ms := make([]statex.Measurement, 0, len(obs))
+	c.f.reset(len(obs))
 	for _, o := range obs {
 		if !c.nw.Node(o.Node).Active() {
 			continue
@@ -96,9 +96,9 @@ func (c *CPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok b
 		if _, reachable := c.nw.RouteBytes(c.hops, o.Node, wsn.MsgMeasurement, c.cfg.Sizes.Dm); !reachable {
 			continue // disconnected from the sink: measurement lost
 		}
-		ms = append(ms, statex.Measurement{From: c.nw.Node(o.Node).Pos, Bearing: o.Bearing})
+		c.f.add(c.nw.Node(o.Node).Pos, o.Bearing)
 	}
-	return c.f.step(ms, c.cfg.Sensor.SigmaN, rng)
+	return c.f.step(rng)
 }
 
 // Particles exposes the sink's particle set for inspection.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mathx"
-	"repro/internal/statex"
 	"repro/internal/wsn"
 )
 
@@ -34,12 +33,11 @@ func DefaultDPFConfig() DPFConfig {
 // DPF is the compressed centralized filter: CPF with dpfBytes-byte quantized
 // bearings and backward parameter-exchange traffic.
 type DPF struct {
-	nw     *wsn.Network
-	sink   wsn.NodeID
-	hops   *wsn.HopTable
-	f      *sinkFilter
-	qStep  float64 // bearing quantization step (rad)
-	sigmaQ float64 // effective bearing noise incl. quantization
+	nw    *wsn.Network
+	sink  wsn.NodeID
+	hops  *wsn.HopTable
+	f     *sinkFilter
+	qStep float64 // bearing quantization step (rad)
 }
 
 // NewDPF validates the configuration and builds the sink's hop table.
@@ -48,23 +46,22 @@ func NewDPF(nw *wsn.Network, cfg DPFConfig) (*DPF, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := newSinkFilter(c)
-	if err != nil {
-		return nil, err
-	}
 	// Quantizing the bearing to 8·dpfBytes bits over (-pi, pi] adds uniform
 	// noise of variance qStep²/12 on top of the sensor noise.
 	levels := math.Pow(2, float64(8*dpfBytes))
 	qStep := 2 * math.Pi / levels
 	sigmaQ := math.Sqrt(c.Sensor.SigmaN*c.Sensor.SigmaN + qStep*qStep/12)
+	f, err := newSinkFilter(c, sigmaQ)
+	if err != nil {
+		return nil, err
+	}
 	sink := nw.NearestNode(nw.Center())
 	return &DPF{
-		nw:     nw,
-		sink:   sink,
-		hops:   nw.BuildHopTable(sink),
-		f:      f,
-		qStep:  qStep,
-		sigmaQ: sigmaQ,
+		nw:    nw,
+		sink:  sink,
+		hops:  nw.BuildHopTable(sink),
+		f:     f,
+		qStep: qStep,
 	}, nil
 }
 
@@ -80,7 +77,7 @@ func (d *DPF) Quantize(bearing float64) float64 {
 // sends the backward parameter messages, and advances the sink filter with
 // the quantization-aware noise model.
 func (d *DPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok bool) {
-	ms := make([]statex.Measurement, 0, len(obs))
+	d.f.reset(len(obs))
 	for _, o := range obs {
 		if !d.nw.Node(o.Node).Active() {
 			continue
@@ -91,10 +88,7 @@ func (d *DPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok b
 		// Backward parameter exchange: the encoder model parameters flow
 		// from the center back to the source over the same route.
 		d.nw.RouteBytes(d.hops, o.Node, wsn.MsgControl, dpfBytes)
-		ms = append(ms, statex.Measurement{
-			From:    d.nw.Node(o.Node).Pos,
-			Bearing: d.Quantize(o.Bearing),
-		})
+		d.f.add(d.nw.Node(o.Node).Pos, d.Quantize(o.Bearing))
 	}
-	return d.f.step(ms, d.sigmaQ, rng)
+	return d.f.step(rng)
 }

@@ -3,10 +3,11 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/mathx"
 	"repro/internal/statex"
 	"repro/internal/wsn"
@@ -50,17 +51,42 @@ type sdParticle struct {
 	w    float64
 }
 
+// sdNode is SDPF's per-node step scratch. The stamps let every step start
+// clean without clearing the node-indexed slice.
+type sdNode struct {
+	hostStamp uint32  // host pass that last listed the node
+	obsStamp  uint32  // step whose observations include the node
+	count     int     // particles hosted (valid while hostStamp is current)
+	z         float64 // observed bearing (valid while obsStamp is current)
+	ll        float64 // joint log likelihood at the node (current step's hosts)
+}
+
 // SDPF is the semi-distributed particle filter: disjoint particle subsets
 // live on sensor nodes, measurements are shared locally, and weight
 // aggregation goes through a global transceiver assumed one hop from every
 // node (charged as unicasts plus two aggregate broadcasts per iteration).
 type SDPF struct {
-	nw         *wsn.Network
-	cfg        SDPFConfig
-	quantSigma float64 // core.DensityQuantSigma of the network
-	parts      []sdParticle
-	nTot       int // fixed particle budget once initialized
-	init       bool
+	nw    *wsn.Network
+	cfg   SDPFConfig
+	bk    kernel.Bearing // Gaussian, inflated by core.DensityQuantSigma
+	parts []sdParticle
+	nTot  int // fixed particle budget once initialized
+	init  bool
+
+	// Step scratch, reused across steps (see DESIGN.md §16).
+	nodes   []sdNode     // indexed by node ID
+	stamp   uint32       // last stamp handed out to nodes
+	hosts   []wsn.NodeID // distinct particle hosts, ascending
+	sharers []wsn.NodeID // hosts with a measurement, ascending
+	reach   []wsn.NodeID // a proposal's reachable next hosts
+	probs   []float64    // their linear-probability weights
+	logw    []float64
+	// Sharer columns for the likelihood kernel, and one host's view of them.
+	sx, sy, sz, dist []float64
+	mask             []bool
+	// resample's copy counts and output buffer (swapped with parts).
+	counts []int
+	spare  []sdParticle
 }
 
 // NewSDPF validates the configuration.
@@ -74,20 +100,16 @@ func NewSDPF(nw *wsn.Network, cfg SDPFConfig) (*SDPF, error) {
 	if cfg.Sizes == (wsn.MsgSizes{}) {
 		cfg.Sizes = wsn.PaperMsgSizes()
 	}
-	return &SDPF{nw: nw, cfg: cfg, quantSigma: core.DensityQuantSigma(nw)}, nil
+	return &SDPF{
+		nw:    nw,
+		cfg:   cfg,
+		bk:    kernel.NewBearing(cfg.Sensor.SigmaN, 0, core.DensityQuantSigma(nw), 0),
+		nodes: make([]sdNode, nw.Len()),
+	}, nil
 }
 
 // NumParticles returns the current particle count (N_s).
 func (s *SDPF) NumParticles() int { return len(s.parts) }
-
-// HolderCount returns the number of distinct particle-hosting nodes (N_n).
-func (s *SDPF) HolderCount() int {
-	seen := make(map[wsn.NodeID]struct{}, len(s.parts))
-	for i := range s.parts {
-		seen[s.parts[i].host] = struct{}{}
-	}
-	return len(seen)
-}
 
 // Step runs one SDPF iteration: particle propagation (broadcasts of
 // particles + weights), local measurement sharing, likelihood update, weight
@@ -108,81 +130,46 @@ func (s *SDPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok 
 	// --- Particle propagation ---
 	// Each hosting node broadcasts one message carrying its Ni particles
 	// and weights: Σ Ni(Dp+Dw) bytes over N_n messages.
-	byHost := s.groupByHost()
-	for host, idxs := range byHost {
-		s.nw.Transmit(host, wsn.MsgParticle, len(idxs)*(s.cfg.Sizes.Dp+s.cfg.Sizes.Dw))
+	s.collectHosts()
+	for _, host := range s.hosts {
+		s.nw.Transmit(host, wsn.MsgParticle, s.nodes[host].count*(s.cfg.Sizes.Dp+s.cfg.Sizes.Dw))
 	}
-	// Every particle samples its next host from the linear-probability
-	// profile of its own predicted area (the quantized prior proposal).
-	survivors := s.parts[:0]
-	for i := range s.parts {
-		p := s.parts[i]
-		hostPos := s.nw.Node(p.host).Pos
-		center := hostPos.Add(p.vel.Scale(s.cfg.Dt))
-		area := cluster.PredictedArea{Center: center, Radius: s.nw.Cfg.SensingRadius}
-		cand := s.nw.ActiveNodesWithin(center, s.nw.Cfg.SensingRadius)
-		// The new host must be able to receive the propagation broadcast.
-		reachable := cand[:0]
-		for _, id := range cand {
-			if id == p.host || (s.nw.Node(id).Pos.Dist(hostPos) <= s.nw.Cfg.CommRadius && s.nw.Delivers(p.host, id)) {
-				reachable = append(reachable, id)
-			}
-		}
-		if len(reachable) == 0 {
-			continue // particle lost; resampling replenishes the budget
-		}
-		weights := make([]float64, len(reachable))
-		for j, id := range reachable {
-			weights[j] = area.Probability(s.nw.Node(id).Pos)
-		}
-		var next wsn.NodeID
-		if mathx.Sum(weights) <= 0 {
-			next = reachable[rng.Intn(len(reachable))]
-		} else {
-			next = reachable[rng.Categorical(weights)]
-		}
-		hop := s.nw.Node(next).Pos.Sub(hostPos).Scale(1 / s.cfg.Dt)
-		p.vel = hop.Lerp(p.vel, sdpfVelSmoothing)
-		p.host = next
-		survivors = append(survivors, p)
-	}
-	s.parts = survivors
+	s.propagate(rng)
 
 	// --- Measurement sharing among particle-maintaining nodes ---
-	obsByNode := make(map[wsn.NodeID]float64, len(obs))
+	s.stamp++
+	obsStamp := s.stamp
 	for _, o := range obs {
-		obsByNode[o.Node] = o.Bearing
+		n := &s.nodes[o.Node]
+		n.obsStamp, n.z = obsStamp, o.Bearing
 	}
-	byHost = s.groupByHost()
-	var sharers []wsn.NodeID
-	for host := range byHost {
-		if _, has := obsByNode[host]; has {
-			sharers = append(sharers, host)
+	s.collectHosts()
+	s.sharers = s.sharers[:0]
+	for _, host := range s.hosts {
+		if s.nodes[host].obsStamp == obsStamp {
+			s.sharers = append(s.sharers, host)
 		}
 	}
-	sort.Slice(sharers, func(i, j int) bool { return sharers[i] < sharers[j] })
-	for _, id := range sharers {
+	for _, id := range s.sharers {
 		s.nw.Transmit(id, wsn.MsgMeasurement, s.cfg.Sizes.Dm)
 	}
 
 	// --- Likelihood update (per host, over audible measurements) ---
-	if len(sharers) > 0 {
-		logw := make([]float64, len(s.parts))
+	if len(s.sharers) > 0 {
+		// The likelihood depends only on the host, so each host's sum is
+		// computed once and shared by every particle it carries.
+		s.gatherSharers()
+		for _, host := range s.hosts {
+			s.nodes[host].ll = s.hostLL(host)
+		}
+		logw := slices.Grow(s.logw[:0], len(s.parts))[:len(s.parts)]
+		s.logw = logw
 		for i := range s.parts {
-			pos := s.nw.Node(s.parts[i].host).Pos
-			ll := 0.0
-			for _, sid := range sharers {
-				if sid != s.parts[i].host &&
-					(s.nw.Node(sid).Pos.Dist(pos) > s.nw.Cfg.CommRadius || !s.nw.Delivers(sid, s.parts[i].host)) {
-					continue
-				}
-				ll += s.bearingLL(s.nw.Node(sid).Pos, obsByNode[sid], pos)
-			}
 			w := s.parts[i].w
 			if w <= 0 {
 				w = 1e-300
 			}
-			logw[i] = math.Log(w) + ll
+			logw[i] = math.Log(w) + s.nodes[s.parts[i].host].ll
 		}
 		// Stable common rescaling; global normalization follows below.
 		max := math.Inf(-1)
@@ -200,9 +187,8 @@ func (s *SDPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok 
 	// Each hosting node unicasts its particles' weights (Ni·Dw); the
 	// transceiver answers with two broadcast messages (query/total),
 	// the "+2" of the paper's SDPF cost analysis.
-	byHost = s.groupByHost()
-	for _, idxs := range byHost {
-		s.nw.Stats.Record(wsn.MsgWeight, len(idxs)*s.cfg.Sizes.Dw)
+	for _, host := range s.hosts {
+		s.nw.Stats.Record(wsn.MsgWeight, s.nodes[host].count*s.cfg.Sizes.Dw)
 	}
 	s.nw.Stats.Record(wsn.MsgControl, s.cfg.Sizes.Dw)
 	s.nw.Stats.Record(wsn.MsgControl, s.cfg.Sizes.Dw)
@@ -229,7 +215,10 @@ func (s *SDPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok 
 		centroid = centroid.Scale(1 / float64(len(obs)))
 		diverged = s.estimate().Dist(centroid) > 2*s.nw.Cfg.SensingRadius
 	}
-	if len(s.parts) == 0 || total <= 0 || diverged || !s.overlapsDetections(obsByNode) {
+	// Track health: with detections, some particle must sit on a detecting
+	// node, i.e. some host is a sharer.
+	overlaps := len(obs) == 0 || len(s.sharers) > 0
+	if len(s.parts) == 0 || total <= 0 || diverged || !overlaps {
 		// Track lost: re-initialize on the current detections (the same
 		// recovery CDPF uses).
 		if len(obs) == 0 {
@@ -248,34 +237,109 @@ func (s *SDPF) Step(obs []core.Observation, rng *mathx.RNG) (est mathx.Vec2, ok 
 	return est, true
 }
 
-// bearingLL mirrors the CDPF tracker's quantization-aware bearing
-// log-likelihood.
-func (s *SDPF) bearingLL(from mathx.Vec2, z float64, cand mathx.Vec2) float64 {
-	sigma := s.cfg.Sensor.SigmaN
-	if s.quantSigma > 0 {
-		d := from.Dist(cand)
-		if d < 1 {
-			d = 1
+// collectHosts lists the distinct particle hosts in ascending order into
+// s.hosts and counts each one's particles.
+func (s *SDPF) collectHosts() {
+	s.stamp++
+	s.hosts = s.hosts[:0]
+	for i := range s.parts {
+		n := &s.nodes[s.parts[i].host]
+		if n.hostStamp != s.stamp {
+			n.hostStamp, n.count = s.stamp, 0
+			s.hosts = append(s.hosts, s.parts[i].host)
 		}
-		q := s.quantSigma / d
-		sigma = math.Sqrt(sigma*sigma + q*q)
+		n.count++
 	}
-	pred := cand.Sub(from).Angle()
-	return mathx.GaussianLogPDF(mathx.AngleDiff(z, pred), 0, sigma)
+	slices.Sort(s.hosts)
 }
 
-// overlapsDetections reports whether any particle is hosted on a detecting
-// node (track-health check).
-func (s *SDPF) overlapsDetections(obsByNode map[wsn.NodeID]float64) bool {
-	if len(obsByNode) == 0 {
-		return true // no detections: nothing to contradict the track
-	}
+// propagate moves every particle to a next host sampled from the
+// linear-probability profile of its own predicted area (the quantized prior
+// proposal); particles with no reachable next host are lost.
+//
+// The proposal is a function of (host, vel) alone within one loss epoch, and
+// resampling leaves each parent's copies contiguous and identical, so the
+// spatial query and the weights are computed once per run of equal (host,
+// vel). Every particle still makes its own draw, in order, so the RNG stream
+// is the one a per-particle evaluation would consume.
+func (s *SDPF) propagate(rng *mathx.RNG) {
+	survivors := s.parts[:0]
+	var runHost wsn.NodeID
+	var runVel mathx.Vec2
+	sum := 0.0
 	for i := range s.parts {
-		if _, ok := obsByNode[s.parts[i].host]; ok {
-			return true
+		p := s.parts[i]
+		if i == 0 || p.host != runHost || p.vel != runVel {
+			runHost, runVel = p.host, p.vel
+			sum = s.proposal(p.host, p.vel)
+		}
+		if len(s.reach) == 0 {
+			continue // particle lost; resampling replenishes the budget
+		}
+		var next wsn.NodeID
+		if sum <= 0 {
+			next = s.reach[rng.Intn(len(s.reach))]
+		} else {
+			next = s.reach[rng.Categorical(s.probs)]
+		}
+		hop := s.nw.Node(next).Pos.Sub(s.nw.Node(p.host).Pos).Scale(1 / s.cfg.Dt)
+		p.vel = hop.Lerp(p.vel, sdpfVelSmoothing)
+		p.host = next
+		survivors = append(survivors, p)
+	}
+	s.parts = survivors
+}
+
+// proposal fills s.reach with the active nodes in the predicted area of a
+// particle at host moving at vel that can receive host's propagation
+// broadcast, and s.probs with their linear-probability weights. It returns
+// the weights' sum.
+func (s *SDPF) proposal(host wsn.NodeID, vel mathx.Vec2) float64 {
+	hostPos := s.nw.Node(host).Pos
+	center := hostPos.Add(vel.Scale(s.cfg.Dt))
+	area := cluster.PredictedArea{Center: center, Radius: s.nw.Cfg.SensingRadius}
+	cand := s.nw.AppendActiveNodesWithin(s.reach[:0], center, s.nw.Cfg.SensingRadius)
+	reach := cand[:0]
+	for _, id := range cand {
+		if id == host || (s.nw.Node(id).Pos.Dist(hostPos) <= s.nw.Cfg.CommRadius && s.nw.Delivers(host, id)) {
+			reach = append(reach, id)
 		}
 	}
-	return false
+	s.reach = reach
+	s.probs = s.probs[:0]
+	for _, id := range reach {
+		s.probs = append(s.probs, area.Probability(s.nw.Node(id).Pos))
+	}
+	return mathx.Sum(s.probs)
+}
+
+// gatherSharers mirrors the sharers' positions and bearings into the flat
+// columns the likelihood kernel reads, and sizes the per-host dist/mask.
+func (s *SDPF) gatherSharers() {
+	n := len(s.sharers)
+	s.sx, s.sy, s.sz = s.sx[:0], s.sy[:0], s.sz[:0]
+	for _, id := range s.sharers {
+		pos := s.nw.Node(id).Pos
+		s.sx, s.sy, s.sz = append(s.sx, pos.X), append(s.sy, pos.Y), append(s.sz, s.nodes[id].z)
+	}
+	s.dist = slices.Grow(s.dist[:0], n)[:n]
+	s.mask = slices.Grow(s.mask[:0], n)[:n]
+}
+
+// hostLL is the joint log likelihood at host over the measurements it
+// hears: its own, and each in-range sharer's whose broadcast is delivered.
+// The range-check distance doubles as the quantization-sigma distance, as
+// in core.Tracker.holderLL.
+func (s *SDPF) hostLL(host wsn.NodeID) float64 {
+	pos := s.nw.Node(host).Pos
+	commR := s.nw.Cfg.CommRadius
+	for k, sid := range s.sharers {
+		d := math.Hypot(s.sx[k]-pos.X, s.sy[k]-pos.Y)
+		s.dist[k] = d
+		s.mask[k] = sid == host || (d <= commR && s.nw.Delivers(sid, host))
+	}
+	ll, _, _ := s.bk.MaskedSum(s.sx, s.sy, s.sz, s.dist, s.mask, pos.X, pos.Y)
+	return ll
 }
 
 // initialize seeds particlesPerNode particles on every detecting node with a
@@ -314,13 +378,16 @@ func (s *SDPF) estimate() mathx.Vec2 {
 
 // resample restores the fixed particle budget with systematic resampling,
 // keeping each copy on its parent's host node (replication is local, so it
-// costs no communication).
+// costs no communication). Copies of one parent land contiguously, which
+// propagate's proposal memo relies on.
 func (s *SDPF) resample(rng *mathx.RNG) {
 	n := s.nTot
 	if n <= 0 || len(s.parts) == 0 {
 		return
 	}
-	counts := make([]int, len(s.parts))
+	counts := slices.Grow(s.counts[:0], len(s.parts))[:len(s.parts)]
+	clear(counts)
+	s.counts = counts
 	u := rng.Float64() / float64(n)
 	acc := 0.0
 	i := 0
@@ -332,7 +399,7 @@ func (s *SDPF) resample(rng *mathx.RNG) {
 		}
 		counts[i]++
 	}
-	out := make([]sdParticle, 0, n)
+	out := s.spare[:0]
 	w := 1.0 / float64(n)
 	for idx, c := range counts {
 		for j := 0; j < c; j++ {
@@ -341,14 +408,5 @@ func (s *SDPF) resample(rng *mathx.RNG) {
 			out = append(out, p)
 		}
 	}
-	s.parts = out
-}
-
-// groupByHost indexes particle indices by their hosting node.
-func (s *SDPF) groupByHost() map[wsn.NodeID][]int {
-	m := make(map[wsn.NodeID][]int)
-	for i := range s.parts {
-		m[s.parts[i].host] = append(m[s.parts[i].host], i)
-	}
-	return m
+	s.parts, s.spare = out, s.parts
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/filter"
+	"repro/internal/kernel"
 	"repro/internal/mathx"
 	"repro/internal/statex"
 )
@@ -57,10 +58,17 @@ type sinkFilter struct {
 	cfg   CPFConfig
 	model *statex.CVModel
 	pf    *filter.SIR
+	bk    kernel.Bearing // the sink's Gaussian bearing model (DESIGN.md §16)
 	init  bool
+
+	// The step's delivered measurements as flat kernel columns: reporting
+	// node position (mx, my) and bearing (mz), reused across steps.
+	mx, my, mz []float64
 }
 
-func newSinkFilter(cfg CPFConfig) (*sinkFilter, error) {
+// newSinkFilter builds the sink filter scoring bearings at the effective
+// noise sigmaEff (the sensor noise, plus quantization noise for DPF).
+func newSinkFilter(cfg CPFConfig, sigmaEff float64) (*sinkFilter, error) {
 	model, err := statex.NewCVModel(cfg.Dt, sinkSigmaV, sinkSigmaV)
 	if err != nil {
 		return nil, err
@@ -69,18 +77,46 @@ func newSinkFilter(cfg CPFConfig) (*sinkFilter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sinkFilter{cfg: cfg, model: model, pf: pf}, nil
+	return &sinkFilter{cfg: cfg, model: model, pf: pf, bk: kernel.NewBearing(sigmaEff, 0, 0, 0)}, nil
 }
 
-// step advances the filter with the given measurements (already delivered to
-// the sink) using the given effective bearing noise. It returns the
-// posterior-mean position estimate; ok is false until first initialization.
-func (f *sinkFilter) step(ms []statex.Measurement, sigmaEff float64, rng *mathx.RNG) (mathx.Vec2, bool) {
+// reset empties the measurement columns for a step that delivers at most n
+// measurements. The three columns share one backing array whose capacity
+// only ever grows, so add never allocates.
+func (f *sinkFilter) reset(n int) {
+	if cap(f.mz) < n {
+		buf := make([]float64, 3*n)
+		f.mx, f.my, f.mz = buf[:0:n], buf[n:n:2*n], buf[2*n:2*n:3*n]
+	}
+	f.mx, f.my, f.mz = f.mx[:0], f.my[:0], f.mz[:0]
+}
+
+// add appends one delivered measurement: bearing z observed from `from`.
+func (f *sinkFilter) add(from mathx.Vec2, z float64) {
+	f.mx = append(f.mx, from.X)
+	f.my = append(f.my, from.Y)
+	f.mz = append(f.mz, z)
+}
+
+// centroid is the mean position of the reporting nodes.
+func (f *sinkFilter) centroid() mathx.Vec2 {
+	var c mathx.Vec2
+	for i := range f.mz {
+		c = c.Add(mathx.V2(f.mx[i], f.my[i]))
+	}
+	return c.Scale(1 / float64(len(f.mz)))
+}
+
+// step advances the filter with the measurements added since reset (those
+// delivered to the sink). It returns the posterior-mean position estimate;
+// ok is false until first initialization.
+func (f *sinkFilter) step(rng *mathx.RNG) (mathx.Vec2, bool) {
+	n := len(f.mz)
 	if !f.init {
-		if len(ms) == 0 {
+		if n == 0 {
 			return mathx.Vec2{}, false
 		}
-		f.initialize(ms, rng)
+		f.initialize(rng)
 		f.init = true
 		return f.pf.Particles().MeanPos(), true
 	}
@@ -88,12 +124,9 @@ func (f *sinkFilter) step(ms []statex.Measurement, sigmaEff float64, rng *mathx.
 	// Measurement anchor: the centroid of the reporting nodes estimates the
 	// target position within roughly r_s/sqrt(M).
 	var anchor mathx.Vec2
-	haveAnchor := len(ms) > 0
+	haveAnchor := n > 0
 	if haveAnchor {
-		for _, m := range ms {
-			anchor = anchor.Add(m.From)
-		}
-		anchor = anchor.Scale(1 / float64(len(ms)))
+		anchor = f.centroid()
 	}
 	propose := func(s statex.State, r *mathx.RNG) statex.State {
 		if haveAnchor && r.Float64() < anchorFraction {
@@ -107,27 +140,22 @@ func (f *sinkFilter) step(ms []statex.Measurement, sigmaEff float64, rng *mathx.
 		return next
 	}
 	temper := 1.0
-	if len(ms) > temperCount {
-		temper = float64(temperCount) / float64(len(ms))
+	if n > temperCount {
+		temper = float64(temperCount) / float64(n)
 	}
-	sensor := statex.BearingSensor{SigmaN: sigmaEff}
 	loglik := func(cand statex.State) float64 {
-		if len(ms) == 0 {
+		if n == 0 {
 			return 0 // no information this iteration
 		}
-		return temper * sensor.JointLogLikelihood(ms, cand.Pos)
+		return temper * f.bk.JointLogLik(f.mx, f.my, f.mz, cand.Pos.X, cand.Pos.Y)
 	}
 	return f.pf.Step(propose, loglik, rng).Pos, true
 }
 
 // initialize seeds the particle cloud around the centroid of the first
 // detections with a diffuse velocity prior.
-func (f *sinkFilter) initialize(ms []statex.Measurement, rng *mathx.RNG) {
-	var centroid mathx.Vec2
-	for _, m := range ms {
-		centroid = centroid.Add(m.From)
-	}
-	centroid = centroid.Scale(1 / float64(len(ms)))
+func (f *sinkFilter) initialize(rng *mathx.RNG) {
+	centroid := f.centroid()
 	f.pf.Init(func(r *mathx.RNG) statex.State {
 		pos := centroid.Add(mathx.V2(r.Normal(0, initSpread), r.Normal(0, initSpread)))
 		vel := mathx.Polar(r.Uniform(0, maxSpeed), r.Uniform(-math.Pi, math.Pi))

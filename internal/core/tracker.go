@@ -696,39 +696,6 @@ func (t *Tracker) effSigma(from, cand mathx.Vec2) float64 {
 	return sigma
 }
 
-// bearingLL returns the log likelihood of observing bearing z from `from`
-// when the target is at `cand`, under the configured noise model (Gaussian,
-// or Student-t when Sensor.TailNu is positive) at the effective sigma.
-//
-// With innovation gating enabled, a Gaussian-model residual beyond GateSigma
-// effective sigmas is clamped to the gate boundary before evaluation, so a
-// wild measurement contributes at most the boundary log density. Clamping
-// (rather than skipping the term) keeps the per-term density monotone in the
-// residual: a candidate position inconsistent with every measurement still
-// scores strictly below one consistent with some — skipping would hand it a
-// free zero while honest near-misses paid their negative log densities.
-//
-// Under the Student-t model the clamp is deliberately NOT applied: the
-// heavy tail is itself a soft gate (log density falls only logarithmically,
-// so a lying sensor's influence is already bounded), and hard-clamping on
-// top of it would *raise* far-out residuals to the boundary density,
-// flattening the very discrimination the tail preserves. Out-of-gate terms
-// still increment the Gated diagnostic counter.
-func (t *Tracker) bearingLL(from mathx.Vec2, z float64, cand mathx.Vec2) float64 {
-	sigma := t.effSigma(from, cand)
-	resid := mathx.AngleDiff(z, cand.Sub(from).Angle())
-	if gate := t.cfg.GateSigma; gate > 0 && math.Abs(resid) > gate*sigma {
-		t.gated++
-		if t.cfg.Sensor.TailNu <= 0 {
-			resid = gate * sigma
-		}
-	}
-	if t.cfg.Sensor.TailNu > 0 {
-		return mathx.StudentTLogPDF(resid, 0, sigma, t.cfg.Sensor.TailNu)
-	}
-	return mathx.GaussianLogPDF(resid, 0, sigma)
-}
-
 // gatherSharerColumns mirrors the usable sharers' positions and bearings into
 // the flat scratch columns the holder-update kernel reads.
 func (t *Tracker) gatherSharerColumns(sharers []wsn.NodeID) {

@@ -8,12 +8,12 @@ import (
 	"repro/internal/statex"
 )
 
-// FuzzBearingLLBatchMatchesScalar drives the batched bearing kernels against
-// the scalar references they replace — statex.BearingSensor.LogLikelihood /
-// JointLogLikelihood for the plain model, and the tracker's
-// effSigma/gate/clamp composition for the quantization and gating variants —
-// and requires bit-identical float64 results, including the TailNu Student-t
-// path and residuals straddling the ±π wrap seam.
+// FuzzBearingLLBatchMatchesScalar drives the bearing kernels against their
+// scalar references — statex.BearingSensor.LogLikelihood for the plain
+// model, and scalarTerm's effective-sigma/gate/clamp composition for the
+// quantization and gating variants — and requires bit-identical float64
+// results, term by term and summed, including the TailNu Student-t path and
+// residuals straddling the ±π wrap seam.
 func FuzzBearingLLBatchMatchesScalar(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 10.0, 10.0, 0.05, 0.0, 0.0, 0.0)
 	f.Add(5.0, -3.0, math.Pi, -20.0, 4.0, 0.05, 4.0, 0.0, 0.0)                 // Student-t
@@ -40,52 +40,48 @@ func FuzzBearingLLBatchMatchesScalar(f *testing.F) {
 		if gate < 0 {
 			gate = 0
 		}
-
-		// Plain model: must match statex exactly.
-		s := statex.BearingSensor{SigmaN: sigma, TailNu: nu}
-		plain := NewBearing(sigma, nu, 0, 0)
 		fxs := []float64{fx, cx, fx}
 		fys := []float64{fy, cy, fy}
 		zs := []float64{z, -z, z + math.Pi}
-		dst := make([]float64, len(zs))
-		plain.LogLikBatch(dst, fxs, fys, zs, cx, cy)
+
+		// Plain model: each term and the ordered sum must match statex.
+		s := statex.BearingSensor{SigmaN: sigma, TailNu: nu}
+		plain := NewBearing(sigma, nu, 0, 0)
 		joint := 0.0
 		for i := range zs {
-			want := s.LogLikelihood(mathx.V2(fxs[i], fys[i]), zs[i], mathx.V2(cx, cy))
-			if !sameFloat(dst[i], want) {
-				t.Fatalf("LogLikBatch[%d] = %x, statex scalar = %x", i, dst[i], want)
+			term := s.LogLikelihood(mathx.V2(fxs[i], fys[i]), zs[i], mathx.V2(cx, cy))
+			want := 0.0
+			want += term
+			if got := plain.JointLogLik(fxs[i:i+1], fys[i:i+1], zs[i:i+1], cx, cy); !sameFloat(got, want) {
+				t.Fatalf("JointLogLik term %d = %x, statex scalar = %x", i, got, want)
 			}
-			joint += want
+			joint += term
 		}
-		ms := []statex.Measurement{
-			{From: mathx.V2(fxs[0], fys[0]), Bearing: zs[0]},
-			{From: mathx.V2(fxs[1], fys[1]), Bearing: zs[1]},
-			{From: mathx.V2(fxs[2], fys[2]), Bearing: zs[2]},
-		}
-		if got, want := plain.JointLogLik(fxs, fys, zs, cx, cy), s.JointLogLikelihood(ms, mathx.V2(cx, cy)); !sameFloat(got, want) {
-			t.Fatalf("JointLogLik = %x, statex = %x", got, want)
-		}
-		cand := make([]float64, 1)
-		plain.LogLikCandidates(cand, []float64{cx}, []float64{cy}, fx, fy, z)
-		if want := s.LogLikelihood(mathx.V2(fx, fy), z, mathx.V2(cx, cy)); !sameFloat(cand[0], want) {
-			t.Fatalf("LogLikCandidates = %x, statex = %x", cand[0], want)
+		if got := plain.JointLogLik(fxs, fys, zs, cx, cy); !sameFloat(got, joint) {
+			t.Fatalf("JointLogLik = %x, statex sum = %x", got, joint)
 		}
 
 		// Full tracker model (quantization inflation + innovation gate):
-		// must match the scalar effSigma/bearingLL composition.
+		// must match the scalarTerm composition, term by term and summed.
 		b := NewBearing(sigma, nu, quant, gate)
-		b.LogLikBatch(dst, fxs, fys, zs, cx, cy)
-		for i := range zs {
-			want := scalarTerm(b, fxs[i], fys[i], zs[i], cx, cy)
-			if !sameFloat(dst[i], want) {
-				t.Fatalf("quant/gate LogLikBatch[%d] = %x, scalar = %x", i, dst[i], want)
-			}
-		}
 		dist := make([]float64, len(zs))
-		mask := []bool{true, false, true}
 		for i := range dist {
 			dist[i] = math.Hypot(fxs[i]-cx, fys[i]-cy)
 		}
+		joint = 0.0
+		for i := range zs {
+			term := scalarTerm(b, fxs[i], fys[i], zs[i], cx, cy)
+			want := 0.0
+			want += term
+			if got := b.JointLogLik(fxs[i:i+1], fys[i:i+1], zs[i:i+1], cx, cy); !sameFloat(got, want) {
+				t.Fatalf("quant/gate JointLogLik term %d = %x, scalar = %x", i, got, want)
+			}
+			joint += term
+		}
+		if got := b.JointLogLik(fxs, fys, zs, cx, cy); !sameFloat(got, joint) {
+			t.Fatalf("quant/gate JointLogLik = %x, scalar sum = %x", got, joint)
+		}
+		mask := []bool{true, false, true}
 		got, _, _ := b.MaskedSum(fxs, fys, zs, dist, mask, cx, cy)
 		want := scalarTerm(b, fxs[0], fys[0], zs[0], cx, cy) + scalarTerm(b, fxs[2], fys[2], zs[2], cx, cy)
 		if !sameFloat(got, want) {

@@ -1,20 +1,24 @@
 // Package kernel holds the flat-slice batch kernels of the tracking hot path
-// (DESIGN.md §16): bearings-only log-likelihood terms, Definition-2 node
+// (DESIGN.md §16): bearings-only log-likelihood sums, Definition-2 node
 // contributions, overheard-total aggregation, and constant-velocity
 // propagation, all written as branch-light loops over pre-gathered []float64
 // columns so the compiler can eliminate bounds checks and keep the state in
-// registers.
+// registers. The CDPF tracker, the CPF/DPF sink filter (JointLogLik) and
+// SDPF (MaskedSum) score bearings through them.
 //
-// Determinism contract: every kernel evaluates the same floating-point
-// expressions in the same order as the scalar reference it replaces
-// (statex.BearingSensor.LogLikelihood / JointLogLikelihood, the tracker's
-// bearingLL/effSigma/overheardTotalCompute, core.EstimateContributionsInto),
-// so results are bit-identical — the goldens, offline twins, and durability
-// byte-diff tests all hold with the kernels enabled. Constants that do not
-// vary per element (the Gaussian log-normalizer, the Student-t Lgamma terms)
-// are hoisted into the Bearing value at construction; hoisting never changes
-// bits because the hoisted subexpressions group exactly as the scalar code
-// groups them.
+// Determinism contract: every bearing term evaluates exactly the expression
+// of the scalar model — statex.BearingSensor.LogLikelihood
+// (mathx.GaussianLogPDF or mathx.StudentTLogPDF of the wrapped residual),
+// at the effective sigma sqrt(σ² + (QuantSigma/max(d, 1))²) when quantized,
+// with the Gaussian residual clamped at GateSigma effective sigmas when
+// gated — and every sum adds its terms in column order from 0, so results
+// are bit-identical to a term-by-term scalar evaluation. The goldens,
+// offline twins, and durability byte-diff tests all hold with the kernels
+// enabled, and the package tests keep an independent scalar reference
+// (scalarTerm). Constants that do not vary per element (the Gaussian
+// log-normalizer, the Student-t Lgamma terms) are hoisted into the Bearing
+// value at construction; hoisting never changes bits because the hoisted
+// subexpressions group exactly as the scalar code groups them.
 package kernel
 
 import (
@@ -69,7 +73,7 @@ func NewBearing(sigmaN, tailNu, quantSigma, gateSigma float64) Bearing {
 }
 
 // sigmaAt returns the effective sigma for a measurement taken at distance d
-// from the candidate, mirroring core's effSigma bit for bit.
+// from the candidate, mirroring core.Tracker.effSigma bit for bit.
 func (b *Bearing) sigmaAt(d float64) float64 {
 	sigma := b.SigmaN
 	if b.QuantSigma > 0 {
@@ -85,7 +89,17 @@ func (b *Bearing) sigmaAt(d float64) float64 {
 // term evaluates one bearing term: the log density of observing bearing z
 // from (fx, fy) when the target is at (cx, cy), with d the precomputed
 // Euclidean distance math.Hypot(fx-cx, fy-cy). gated reports an out-of-gate
-// residual (diagnostic; under the Gaussian model the residual is clamped).
+// residual, which feeds the Gated diagnostic.
+//
+// Under the Gaussian model an out-of-gate residual is clamped to the gate
+// boundary, so a wild measurement contributes at most the boundary log
+// density. Clamping (rather than skipping the term) keeps the per-term
+// density monotone in the residual: a candidate inconsistent with every
+// measurement still scores strictly below one consistent with some. Under
+// the Student-t model the clamp is deliberately not applied: the heavy tail
+// is itself a soft gate, and clamping on top of it would raise far-out
+// residuals to the boundary density, flattening the discrimination the tail
+// preserves.
 func (b *Bearing) term(fx, fy, z, d, cx, cy float64) (ll float64, gated bool) {
 	sigma := b.sigmaAt(d)
 	resid := mathx.AngleDiff(z, math.Atan2(cy-fy, cx-fx))
@@ -105,79 +119,10 @@ func (b *Bearing) term(fx, fy, z, d, cx, cy float64) (ll float64, gated bool) {
 	return -0.5*r*r - math.Log(sigma) - mathx.HalfLog2Pi, gated
 }
 
-// LogLikBatch writes into dst[i] the log likelihood of observing bearing
-// z[i] from (fromX[i], fromY[i]) when the target is at the single candidate
-// (cx, cy), and returns the number of gated terms. dst must have the length
-// of the measurement columns. With QuantSigma and GateSigma zero each
-// element is bit-identical to statex.BearingSensor.LogLikelihood.
-func (b *Bearing) LogLikBatch(dst, fromX, fromY, z []float64, cx, cy float64) int {
-	n := len(dst)
-	if len(fromX) != n || len(fromY) != n || len(z) != n {
-		panic("kernel: LogLikBatch column length mismatch")
-	}
-	gated := 0
-	if b.QuantSigma <= 0 && b.GateSigma <= 0 && b.TailNu <= 0 {
-		// Branch-light fast lane: constant sigma, no gating.
-		logSig := b.logSigmaN
-		sig := b.SigmaN
-		for i := 0; i < n; i++ {
-			resid := mathx.AngleDiff(z[i], math.Atan2(cy-fromY[i], cx-fromX[i]))
-			r := resid / sig
-			dst[i] = -0.5*r*r - logSig - mathx.HalfLog2Pi
-		}
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		d := 0.0
-		if b.QuantSigma > 0 {
-			d = math.Hypot(fromX[i]-cx, fromY[i]-cy)
-		}
-		ll, g := b.term(fromX[i], fromY[i], z[i], d, cx, cy)
-		dst[i] = ll
-		if g {
-			gated++
-		}
-	}
-	return gated
-}
-
-// LogLikCandidates writes into dst[i] the log likelihood of observing the
-// single bearing z from (fx, fy) when the target is at candidate
-// (candX[i], candY[i]) — the many-candidates-vs-one-measurement direction
-// used by the filter tier. Returns the number of gated terms.
-func (b *Bearing) LogLikCandidates(dst, candX, candY []float64, fx, fy, z float64) int {
-	n := len(dst)
-	if len(candX) != n || len(candY) != n {
-		panic("kernel: LogLikCandidates column length mismatch")
-	}
-	gated := 0
-	if b.QuantSigma <= 0 && b.GateSigma <= 0 && b.TailNu <= 0 {
-		logSig := b.logSigmaN
-		sig := b.SigmaN
-		for i := 0; i < n; i++ {
-			resid := mathx.AngleDiff(z, math.Atan2(candY[i]-fy, candX[i]-fx))
-			r := resid / sig
-			dst[i] = -0.5*r*r - logSig - mathx.HalfLog2Pi
-		}
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		d := 0.0
-		if b.QuantSigma > 0 {
-			d = math.Hypot(fx-candX[i], fy-candY[i])
-		}
-		ll, g := b.term(fx, fy, z, d, candX[i], candY[i])
-		dst[i] = ll
-		if g {
-			gated++
-		}
-	}
-	return gated
-}
-
-// JointLogLik returns Σ_i log p(z[i] | cand) over the measurement columns in
-// column order — bit-identical to statex.BearingSensor.JointLogLikelihood
-// when QuantSigma and GateSigma are zero.
+// JointLogLik returns Σ_i log p(z[i] | cand) over the measurement columns,
+// summed in column order: the CPF/DPF sink filter's per-particle likelihood.
+// With QuantSigma and GateSigma zero it is the ordered sum of
+// statex.BearingSensor.LogLikelihood terms, bit for bit.
 func (b *Bearing) JointLogLik(fromX, fromY, z []float64, cx, cy float64) float64 {
 	n := len(z)
 	if len(fromX) != n || len(fromY) != n {
@@ -205,14 +150,14 @@ func (b *Bearing) JointLogLik(fromX, fromY, z []float64, cx, cy float64) float64
 	return total
 }
 
-// MaskedSum is the CDPF holder update: the ordered sum of the selected
-// bearing terms at candidate (cx, cy). dist[i] must hold the precomputed
-// distance math.Hypot(fromX[i]-cx, fromY[i]-cy) — the caller already has it
-// from the radio range check, and reusing the identical value keeps the
-// effective-sigma inflation bit-identical to the scalar path, which computes
-// the same expression twice. mask[i] selects the terms (sharers the holder
-// heard). Returns the sum, whether any term was selected, and the gated
-// count.
+// MaskedSum is the CDPF holder update and the SDPF host update: the ordered
+// sum of the selected bearing terms at candidate (cx, cy). dist[i] must hold
+// the precomputed distance math.Hypot(fromX[i]-cx, fromY[i]-cy) — the caller
+// already has it from the radio range check, and reusing the identical value
+// keeps the effective-sigma inflation bit-identical to a scalar evaluation
+// that computes the same expression twice. mask[i] selects the terms
+// (sharers the holder heard). Returns the sum, whether any term was
+// selected, and the gated count.
 func (b *Bearing) MaskedSum(fromX, fromY, z, dist []float64, mask []bool, cx, cy float64) (ll float64, heard bool, gated int) {
 	n := len(mask)
 	if len(fromX) != n || len(fromY) != n || len(z) != n || len(dist) != n {

@@ -8,8 +8,10 @@ import (
 	"repro/internal/statex"
 )
 
-// scalarTerm replicates the tracker's bearingLL + effSigma scalar reference
-// (tracker.go) term by term; the kernels must match it bit for bit.
+// scalarTerm is the independent scalar reference for one bearing term: the
+// tracker's effective sigma (core.Tracker.effSigma), the gate clamp, and
+// mathx's log densities, written out term by term. The kernels must match
+// it bit for bit.
 func scalarTerm(b Bearing, fx, fy, z, cx, cy float64) float64 {
 	sigma := b.SigmaN
 	if b.QuantSigma > 0 {
@@ -60,47 +62,28 @@ func testColumns() (fx, fy, z []float64, cx, cy float64) {
 	return fx, fy, z, 101.25, 97.5
 }
 
-func TestLogLikBatchMatchesScalar(t *testing.T) {
-	fx, fy, z, cx, cy := testColumns()
-	dst := make([]float64, len(z))
-	for _, b := range kernelVariants() {
-		b.LogLikBatch(dst, fx, fy, z, cx, cy)
-		for i := range dst {
-			want := scalarTerm(b, fx[i], fy[i], z[i], cx, cy)
-			if dst[i] != want {
-				t.Fatalf("kernel %+v term %d: got %x want %x", b, i, dst[i], want)
-			}
-		}
-	}
-}
-
-func TestLogLikCandidatesMatchesScalar(t *testing.T) {
-	cxs, cys, _, fx, fy := testColumns()
-	z := 2.5
-	dst := make([]float64, len(cxs))
-	for _, b := range kernelVariants() {
-		b.LogLikCandidates(dst, cxs, cys, fx, fy, z)
-		for i := range dst {
-			want := scalarTerm(b, fx, fy, z, cxs[i], cys[i])
-			if dst[i] != want {
-				t.Fatalf("kernel %+v cand %d: got %x want %x", b, i, dst[i], want)
-			}
-		}
-	}
-}
-
+// TestJointLogLikMatchesStatex requires the sink filter's joint kernel to be
+// the ordered sum of statex.BearingSensor.LogLikelihood terms for the plain
+// model, and of scalarTerm for every quantized and gated variant.
 func TestJointLogLikMatchesStatex(t *testing.T) {
 	fx, fy, z, cx, cy := testColumns()
 	for _, s := range []statex.BearingSensor{{SigmaN: 0.05}, {SigmaN: 0.05, TailNu: 4}} {
 		b := NewBearing(s.SigmaN, s.TailNu, 0, 0)
-		ms := make([]statex.Measurement, len(z))
+		want := 0.0
 		for i := range z {
-			ms[i] = statex.Measurement{From: mathx.V2(fx[i], fy[i]), Bearing: z[i]}
+			want += s.LogLikelihood(mathx.V2(fx[i], fy[i]), z[i], mathx.V2(cx, cy))
 		}
-		got := b.JointLogLik(fx, fy, z, cx, cy)
-		want := s.JointLogLikelihood(ms, mathx.V2(cx, cy))
-		if got != want {
+		if got := b.JointLogLik(fx, fy, z, cx, cy); got != want {
 			t.Fatalf("sensor %+v: joint %x want %x", s, got, want)
+		}
+	}
+	for _, b := range kernelVariants() {
+		want := 0.0
+		for i := range z {
+			want += scalarTerm(b, fx[i], fy[i], z[i], cx, cy)
+		}
+		if got := b.JointLogLik(fx, fy, z, cx, cy); got != want {
+			t.Fatalf("kernel %+v: joint %x want %x", b, got, want)
 		}
 	}
 }
@@ -216,8 +199,6 @@ func TestKernelAllocFree(t *testing.T) {
 	ids := make([]int32, len(z))
 	b := NewBearing(0.05, 4, 1.1, 4)
 	cases := map[string]func(){
-		"LogLikBatch":      func() { b.LogLikBatch(dst, fx, fy, z, cx, cy) },
-		"LogLikCandidates": func() { b.LogLikCandidates(dst, fx, fy, cx, cy, 1.0) },
 		"JointLogLik":      func() { b.JointLogLik(fx, fy, z, cx, cy) },
 		"MaskedSum":        func() { b.MaskedSum(fx, fy, z, dist, mask, cx, cy) },
 		"Contributions":    func() { Contributions(dst, fx, fy, cx, cy, 1e-3) },

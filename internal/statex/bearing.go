@@ -1,10 +1,6 @@
 package statex
 
-import (
-	"math"
-
-	"repro/internal/mathx"
-)
+import "repro/internal/mathx"
 
 // BearingSensor is the bearings-only measurement model of Eq. (5):
 //
@@ -54,24 +50,9 @@ func (s BearingSensor) LogLikelihood(from mathx.Vec2, z float64, candidate mathx
 	return mathx.GaussianLogPDF(resid, 0, s.SigmaN)
 }
 
-// Likelihood returns p(z | candidate); see LogLikelihood.
-func (s BearingSensor) Likelihood(from mathx.Vec2, z float64, candidate mathx.Vec2) float64 {
-	return math.Exp(s.LogLikelihood(from, z, candidate))
-}
-
 // Measurement couples a node's position with its observed bearing, as shared
 // in the likelihood step of the filters.
 type Measurement struct {
 	From    mathx.Vec2 // observing node position
 	Bearing float64    // observed bearing (rad)
-}
-
-// JointLogLikelihood returns Σ_i log p(z_i | candidate) over a set of shared
-// measurements, i.e. the factorized likelihood used by the update step.
-func (s BearingSensor) JointLogLikelihood(ms []Measurement, candidate mathx.Vec2) float64 {
-	total := 0.0
-	for _, m := range ms {
-		total += s.LogLikelihood(m.From, m.Bearing, candidate)
-	}
-	return total
 }

@@ -294,23 +294,6 @@ func TestBearingLikelihoodSeamSafe(t *testing.T) {
 	}
 }
 
-func TestJointLogLikelihoodAdds(t *testing.T) {
-	s := BearingSensor{SigmaN: 0.05}
-	cand := mathx.V2(3, 3)
-	ms := []Measurement{
-		{From: mathx.V2(0, 0), Bearing: 0.7},
-		{From: mathx.V2(5, 0), Bearing: 2.2},
-	}
-	want := s.LogLikelihood(ms[0].From, ms[0].Bearing, cand) +
-		s.LogLikelihood(ms[1].From, ms[1].Bearing, cand)
-	if got := s.JointLogLikelihood(ms, cand); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("JointLogLikelihood = %v, want %v", got, want)
-	}
-	if got := s.JointLogLikelihood(nil, cand); got != 0 {
-		t.Fatalf("empty joint = %v", got)
-	}
-}
-
 func TestMeasureWrapProperty(t *testing.T) {
 	s := BearingSensor{SigmaN: 0.3}
 	rng := mathx.NewRNG(10)
