@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/mathx"
+	"repro/internal/recycle"
 	"repro/internal/statex"
 	"repro/internal/wsn"
 )
@@ -104,8 +105,21 @@ func NewSDPF(nw *wsn.Network, cfg SDPFConfig) (*SDPF, error) {
 		nw:    nw,
 		cfg:   cfg,
 		bk:    kernel.NewBearing(cfg.Sensor.SigmaN, 0, core.DensityQuantSigma(nw), 0),
-		nodes: make([]sdNode, nw.Len()),
+		nodes: recycle.Slice(sdNodesFree.Get(), nw.Len()),
 	}, nil
+}
+
+// sdNodesFree keeps released node tables for the next NewSDPF.
+var sdNodesFree recycle.List[[]sdNode]
+
+// Release hands the filter's node table to the next NewSDPF on the process.
+// Only the owner of a finished run may call it; a second Release is a no-op.
+func (s *SDPF) Release() {
+	if s.nodes == nil {
+		return
+	}
+	sdNodesFree.Put(s.nodes)
+	s.nodes = nil
 }
 
 // NumParticles returns the current particle count (N_s).

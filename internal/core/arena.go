@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/mathx"
+	"repro/internal/recycle"
 	"repro/internal/statex"
 	"repro/internal/wsn"
 )
@@ -31,14 +32,12 @@ type particleStore struct {
 	needSort bool
 }
 
-func newParticleStore(n int) *particleStore {
-	return &particleStore{
-		w:     make([]float64, n),
-		vel:   make([]mathx.Vec2, n),
-		stamp: make([]uint32, n),
-		epoch: 1,
-		pos:   make([]int32, n),
-	}
+// reset empties the store and sizes it for n nodes, reusing its arrays; it
+// then reads exactly like a new store.
+func (s *particleStore) reset(n int) {
+	s.w, s.vel = recycle.Slice(s.w, n), recycle.Slice(s.vel, n)
+	s.stamp, s.pos = recycle.Slice(s.stamp, n), recycle.Slice(s.pos, n)
+	s.epoch, s.ids, s.needSort = 1, s.ids[:0], false
 }
 
 // has reports whether node id currently holds a particle.
@@ -205,20 +204,26 @@ type sweep struct {
 	rec, off       []int32
 }
 
-func newScratch(n int) scratch {
-	return scratch{
-		accStamp:     make([]uint32, n),
-		accW:         make([]float64, n),
-		accVel:       make([]mathx.Vec2, n),
-		obsStamp:     make([]uint32, n),
-		obsBearing:   make([]float64, n),
-		contribStamp: make([]uint32, n),
-		contribVal:   make([]float64, n),
-		otStamp:      make([]uint32, n),
-		otVal:        make([]float64, n),
-		otComp:       make([]bool, n),
-	}
+// reset clears the node-indexed tables and sizes them for n nodes, reusing
+// their arrays, and restarts every epoch at 0: the tables then read exactly
+// like new ones. The other buffers are written before they are read in every
+// iteration, so they keep their contents.
+func (s *scratch) reset(n int) {
+	s.accStamp, s.accW, s.accVel = recycle.Slice(s.accStamp, n), recycle.Slice(s.accW, n), recycle.Slice(s.accVel, n)
+	s.obsStamp, s.obsBearing = recycle.Slice(s.obsStamp, n), recycle.Slice(s.obsBearing, n)
+	s.contribStamp, s.contribVal = recycle.Slice(s.contribStamp, n), recycle.Slice(s.contribVal, n)
+	s.otStamp, s.otVal, s.otComp = recycle.Slice(s.otStamp, n), recycle.Slice(s.otVal, n), recycle.Slice(s.otComp, n)
+	s.accEpoch, s.obsEpoch, s.contribEpoch, s.otEpoch = 0, 0, 0, 0
 }
+
+// trackerMem is a released tracker's particle store and scratch arena, kept
+// for the next NewTracker.
+type trackerMem struct {
+	parts *particleStore
+	scr   scratch
+}
+
+var trackerFree recycle.List[trackerMem]
 
 // grow returns s with length n, reusing its backing array when capacity
 // allows and otherwise growing it geometrically, so a buffer that tracks a

@@ -91,17 +91,24 @@ type ResilienceStats struct {
 
 // NewTracker validates the configuration and returns a tracker with no
 // particles (the initialization step runs on the first detections passed to
-// Step).
+// Step). The particle store and scratch tables come from a released
+// tracker's memory when one is available (see Release).
 func NewTracker(nw *wsn.Network, cfg Config) (*Tracker, error) {
 	c, err := cfg.withDefaults(nw)
 	if err != nil {
 		return nil, err
 	}
+	m := trackerFree.Get()
+	if m.parts == nil {
+		m.parts = new(particleStore)
+	}
+	m.parts.reset(nw.Len())
+	m.scr.reset(nw.Len())
 	t := &Tracker{
 		nw:     nw,
 		cfg:    c,
-		parts:  newParticleStore(nw.Len()),
-		scr:    newScratch(nw.Len()),
+		parts:  m.parts,
+		scr:    m.scr,
 		lostAt: -1,
 		bk:     kernel.NewBearing(c.Sensor.SigmaN, c.Sensor.TailNu, c.QuantSigma, c.GateSigma),
 	}
@@ -109,6 +116,17 @@ func NewTracker(nw *wsn.Network, cfg Config) (*Tracker, error) {
 		t.quar = newReputation()
 	}
 	return t, nil
+}
+
+// Release hands the tracker's particle store and scratch tables to the next
+// NewTracker on the process. Only the owner of a finished run may call it,
+// once nothing reads the tracker any more; a second Release is a no-op.
+func (t *Tracker) Release() {
+	if t.parts == nil {
+		return
+	}
+	trackerFree.Put(trackerMem{parts: t.parts, scr: t.scr})
+	t.parts, t.scr = nil, scratch{}
 }
 
 // Resilience returns the degradation counters accumulated so far.

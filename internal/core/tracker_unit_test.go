@@ -242,3 +242,29 @@ func TestInactiveDetectorCreatesNoParticle(t *testing.T) {
 		t.Fatal("failed node created a particle")
 	}
 }
+
+// TestReleaseTwiceIsNoOp checks that releasing a tracker a second time hands
+// nothing back again: two later trackers must not share tables.
+func TestReleaseTwiceIsNoOp(t *testing.T) {
+	nw, err := wsn.NewNetwork(wsn.DefaultConfig(5), mathx.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTracker(nw, DefaultConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Release()
+	tr.Release()
+	a, err := NewTracker(nw, DefaultConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewTracker(nw, DefaultConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.parts == b.parts || &a.scr.accStamp[0] == &b.scr.accStamp[0] {
+		t.Error("two trackers share recycled tables after a double Release")
+	}
+}

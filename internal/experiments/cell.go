@@ -96,6 +96,10 @@ func runCell(ctx context.Context, ax spec.Axes, cfg *core.Config) (*CellOutcome,
 	if err != nil {
 		return nil, err
 	}
+	// The cell owns its network and filter: when it ends, their per-node
+	// memory goes to the next cell on the process (DESIGN.md §10). Nothing
+	// in the outcome aliases it.
+	defer sc.Net.Release()
 	out := &CellOutcome{
 		Axes:       ax,
 		Hardened:   ax.IsCDPF() && ax.HardenedResolved(),
@@ -164,6 +168,11 @@ func runCell(ctx context.Context, ax spec.Axes, cfg *core.Config) (*CellOutcome,
 	if err != nil {
 		return nil, err
 	}
+	if tr != nil {
+		defer tr.Release()
+	} else if r, ok := base.(interface{ Release() }); ok {
+		defer r.Release() // SDPF's node table
+	}
 
 	// Duty-cycled cells run the energy model and the TDSS scheduler; the
 	// duty-cycle phase stream is sc.RNG(50).
@@ -189,6 +198,7 @@ func runCell(ctx context.Context, ax spec.Axes, cfg *core.Config) (*CellOutcome,
 	}
 	valid := make([]bool, sc.Iterations())
 	awakeSum := 0.0
+	var obs []core.Observation // this iteration's observations, reused
 	for k := 0; k < sc.Iterations(); k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("interrupted at iteration %d: %w", k, err)
@@ -213,7 +223,7 @@ func runCell(ctx context.Context, ax spec.Axes, cfg *core.Config) (*CellOutcome,
 			sc.Net.ApplyDrift(ax.Mobility, driftRNG)
 		}
 		before := sc.Net.Stats.Snapshot()
-		obs := sc.Observations(k)
+		obs = sc.AppendObservations(obs[:0], k)
 		// The estimate is for iteration forK; holders is -1 when the
 		// algorithm has no notion of particle-holding nodes.
 		var est mathx.Vec2
@@ -283,6 +293,7 @@ func runMultiCell(ctx context.Context, ax spec.Axes) (*CellOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sc.Net.Release()
 	mgr, err := multi.NewManager(sc.Net, multi.DefaultConfig(false))
 	if err != nil {
 		return nil, err

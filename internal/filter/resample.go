@@ -2,8 +2,10 @@ package filter
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/mathx"
+	"repro/internal/recycle"
 )
 
 // Resampler draws n equally weighted particles from a weighted set,
@@ -27,26 +29,44 @@ func resampleGuard(src *Set, n int) {
 	}
 }
 
-// replicate builds the output set from per-source-particle copy counts.
-func replicate(src *Set, counts []int, n int) *Set {
-	out := &Set{P: make([]Particle, 0, n)}
-	w := 1.0 / float64(n)
-	for i, c := range counts {
-		for j := 0; j < c; j++ {
-			p := src.P[i]
-			p.W = w
-			out.P = append(out.P, p)
-		}
-	}
-	return out
+// counter is a resampling scheme's core: from the normalized weights w it
+// adds to counts[i] the number of copies of particle i, n copies in all.
+type counter interface {
+	count(w []float64, counts []int, n int, rng *mathx.RNG)
 }
 
-// normalizedWeights returns the normalized weight vector of src, falling
-// back to uniform for a degenerate total.
-func normalizedWeights(src *Set) []float64 {
-	w := src.Weights()
-	mathx.Normalize(w)
-	return w
+// resampleBuf is one resampling's working memory: the normalized weight
+// copy, the copy counts and the output particles.
+type resampleBuf struct {
+	w      []float64
+	counts []int
+	out    []Particle
+}
+
+// resample draws n equally weighted particles from src with scheme c into
+// the buffer's output slice and returns it. src is not modified and must not
+// share memory with the buffer's output.
+func (b *resampleBuf) resample(c counter, src *Set, n int, rng *mathx.RNG) []Particle {
+	resampleGuard(src, n)
+	// Normalized weights, falling back to uniform for a degenerate total.
+	b.w = recycle.Slice(b.w, len(src.P))
+	for i := range src.P {
+		b.w[i] = src.P[i].W
+	}
+	mathx.Normalize(b.w)
+	b.counts = recycle.Slice(b.counts, len(src.P))
+	c.count(b.w, b.counts, n, rng)
+	out := slices.Grow(b.out[:0], n)
+	w := 1.0 / float64(n)
+	for i, k := range b.counts {
+		for j := 0; j < k; j++ {
+			p := src.P[i]
+			p.W = w
+			out = append(out, p)
+		}
+	}
+	b.out = out
+	return out
 }
 
 // Multinomial is independent categorical resampling: each output particle is
@@ -57,9 +77,11 @@ type Multinomial struct{}
 func (Multinomial) Name() string { return "multinomial" }
 
 // Resample implements Resampler.
-func (Multinomial) Resample(src *Set, n int, rng *mathx.RNG) *Set {
-	resampleGuard(src, n)
-	w := normalizedWeights(src)
+func (m Multinomial) Resample(src *Set, n int, rng *mathx.RNG) *Set {
+	return &Set{P: new(resampleBuf).resample(m, src, n, rng)}
+}
+
+func (Multinomial) count(w []float64, counts []int, n int, rng *mathx.RNG) {
 	// Cumulative distribution + inverse-CDF sampling per draw.
 	cdf := make([]float64, len(w))
 	acc := 0.0
@@ -68,12 +90,10 @@ func (Multinomial) Resample(src *Set, n int, rng *mathx.RNG) *Set {
 		cdf[i] = acc
 	}
 	cdf[len(cdf)-1] = 1 // guard against rounding
-	counts := make([]int, len(w))
 	for k := 0; k < n; k++ {
 		u := rng.Float64()
 		counts[searchCDF(cdf, u)]++
 	}
-	return replicate(src, counts, n)
 }
 
 // searchCDF returns the smallest index i with cdf[i] > u (binary search).
@@ -99,10 +119,11 @@ type Systematic struct{}
 func (Systematic) Name() string { return "systematic" }
 
 // Resample implements Resampler.
-func (Systematic) Resample(src *Set, n int, rng *mathx.RNG) *Set {
-	resampleGuard(src, n)
-	w := normalizedWeights(src)
-	counts := make([]int, len(w))
+func (s Systematic) Resample(src *Set, n int, rng *mathx.RNG) *Set {
+	return &Set{P: new(resampleBuf).resample(s, src, n, rng)}
+}
+
+func (Systematic) count(w []float64, counts []int, n int, rng *mathx.RNG) {
 	u := rng.Float64() / float64(n)
 	acc := 0.0
 	i := 0
@@ -114,7 +135,6 @@ func (Systematic) Resample(src *Set, n int, rng *mathx.RNG) *Set {
 		}
 		counts[i]++
 	}
-	return replicate(src, counts, n)
 }
 
 // Stratified resampling draws one uniform point per stratum [k/n, (k+1)/n).
@@ -124,10 +144,11 @@ type Stratified struct{}
 func (Stratified) Name() string { return "stratified" }
 
 // Resample implements Resampler.
-func (Stratified) Resample(src *Set, n int, rng *mathx.RNG) *Set {
-	resampleGuard(src, n)
-	w := normalizedWeights(src)
-	counts := make([]int, len(w))
+func (s Stratified) Resample(src *Set, n int, rng *mathx.RNG) *Set {
+	return &Set{P: new(resampleBuf).resample(s, src, n, rng)}
+}
+
+func (Stratified) count(w []float64, counts []int, n int, rng *mathx.RNG) {
 	acc := 0.0
 	i := 0
 	for k := 0; k < n; k++ {
@@ -138,7 +159,6 @@ func (Stratified) Resample(src *Set, n int, rng *mathx.RNG) *Set {
 		}
 		counts[i]++
 	}
-	return replicate(src, counts, n)
 }
 
 // Residual resampling copies floor(n*w_i) of particle i deterministically and
@@ -149,10 +169,11 @@ type Residual struct{}
 func (Residual) Name() string { return "residual" }
 
 // Resample implements Resampler.
-func (Residual) Resample(src *Set, n int, rng *mathx.RNG) *Set {
-	resampleGuard(src, n)
-	w := normalizedWeights(src)
-	counts := make([]int, len(w))
+func (r Residual) Resample(src *Set, n int, rng *mathx.RNG) *Set {
+	return &Set{P: new(resampleBuf).resample(r, src, n, rng)}
+}
+
+func (Residual) count(w []float64, counts []int, n int, rng *mathx.RNG) {
 	resid := make([]float64, len(w))
 	assigned := 0
 	for i, wi := range w {
@@ -172,7 +193,6 @@ func (Residual) Resample(src *Set, n int, rng *mathx.RNG) *Set {
 		}
 		assigned++
 	}
-	return replicate(src, counts, n)
 }
 
 // Resamplers lists every available scheme, used by the resampling ablation

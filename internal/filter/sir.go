@@ -42,6 +42,10 @@ type SIR struct {
 	// logw is the per-step log-weight buffer, reused across Steps
 	// (SetLogWeights copies, so reuse is safe).
 	logw []float64
+	// rb double-buffers resampling for the built-in schemes: its output
+	// becomes the live particle slice, and the slice it replaces is the next
+	// resampling's output buffer.
+	rb resampleBuf
 }
 
 // NewSIR validates cfg and returns an uninitialized filter; call Init before
@@ -72,7 +76,8 @@ func (f *SIR) Init(draw func(rng *mathx.RNG) statex.State, rng *mathx.RNG) {
 	f.set = set
 }
 
-// Particles exposes the current particle set (read-only by convention).
+// Particles exposes the live particle set (read-only by convention); every
+// Step updates it in place.
 func (f *SIR) Particles() *Set { return f.set }
 
 // N returns the particle count N_s.
@@ -104,7 +109,12 @@ func (f *SIR) Step(propose Proposal, loglik LogLikelihood, rng *mathx.RNG) state
 	f.set.SetLogWeights(logw)
 	// 3) Resampling when ESS falls below the threshold.
 	if f.set.ESS() < f.cfg.ESSFraction*float64(f.cfg.N) {
-		f.set = f.cfg.Resampler.Resample(f.set, f.cfg.N, rng)
+		if c, ok := f.cfg.Resampler.(counter); ok {
+			out := f.rb.resample(c, f.set, f.cfg.N, rng)
+			f.rb.out, f.set.P = f.set.P, out
+		} else {
+			f.set = f.cfg.Resampler.Resample(f.set, f.cfg.N, rng)
+		}
 		if f.cfg.Regularize != nil {
 			f.cfg.Regularize.Apply(f.set, rng)
 		}

@@ -82,9 +82,11 @@ type Manager struct {
 // NewManager validates cfg's per-track tracker configuration and returns an
 // empty manager.
 func NewManager(nw *wsn.Network, cfg Config) (*Manager, error) {
-	if _, err := core.NewTracker(nw, cfg.Tracker); err != nil {
+	probe, err := core.NewTracker(nw, cfg.Tracker)
+	if err != nil {
 		return nil, fmt.Errorf("multi: %w", err)
 	}
+	probe.Release()
 	return &Manager{nw: nw, cfg: cfg, gate: gateRadii * nw.Cfg.SensingRadius}, nil
 }
 

@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -181,21 +182,29 @@ func (s *Scenario) CrossedNodes(k int) []wsn.NodeID {
 // stream. When a sensor-fault script is attached, each clean bearing is then
 // corrupted through it — after the noise draw, so attaching a script never
 // perturbs the clean measurements of unaffected nodes, and every filter
-// running on the scenario sees the same corrupted values.
+// running on the scenario sees the same corrupted values. The returned slice
+// is freshly allocated; a loop that is done with each iteration's
+// observations before the next should use AppendObservations.
 func (s *Scenario) Observations(k int) []core.Observation {
+	return s.AppendObservations(nil, k)
+}
+
+// AppendObservations is Observations appending into dst; it allocates only
+// when dst lacks capacity.
+func (s *Scenario) AppendObservations(dst []core.Observation, k int) []core.Observation {
 	truth := s.Truth(k)
 	// The detecting set (DetectingNodes' query) lands in a reused buffer;
-	// only the observations escape to the caller.
+	// only the observations reach the caller.
 	s.detBuf = s.Net.AppendActiveNodesWithin(s.detBuf[:0], truth, s.Net.Cfg.SensingRadius)
-	obs := make([]core.Observation, 0, len(s.detBuf))
+	dst = slices.Grow(dst, len(s.detBuf))
 	for _, id := range s.detBuf {
 		z := s.Sensor.Measure(s.Net.Node(id).Pos, truth, s.noiseRNG)
 		if s.SensorFaults != nil {
 			z, _ = s.SensorFaults.Corrupt(id, s.Filter.Times[k], z)
 		}
-		obs = append(obs, core.Observation{Node: id, Bearing: z})
+		dst = append(dst, core.Observation{Node: id, Bearing: z})
 	}
-	return obs
+	return dst
 }
 
 // Measurements converts iteration-k observations into position-tagged

@@ -78,25 +78,24 @@ func (r *Recorder) TotalBytes() int64 {
 	return total
 }
 
-// WriteCSV writes a header plus one row per iteration.
+// WriteCSV writes a header plus one row per iteration. The table is built
+// in memory and written in one call, so writing to a file costs one write,
+// not one per row.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w,
-		"k,t,truth_x,truth_y,have_est,est_for_k,est_x,est_y,err_m,detectors,holders,msgs,bytes"); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, 96*(len(r.Records)+1))
+	buf = append(buf, "k,t,truth_x,truth_y,have_est,est_for_k,est_x,est_y,err_m,detectors,holders,msgs,bytes\n"...)
 	for _, rec := range r.Records {
 		have := 0
 		if rec.HaveEst {
 			have = 1
 		}
-		if _, err := fmt.Fprintf(w, "%d,%.3f,%.4f,%.4f,%d,%d,%.4f,%.4f,%.4f,%d,%d,%d,%d\n",
+		buf = fmt.Appendf(buf, "%d,%.3f,%.4f,%.4f,%d,%d,%.4f,%.4f,%.4f,%d,%d,%d,%d\n",
 			rec.K, rec.Time, rec.TruthX, rec.TruthY, have, rec.EstForK,
 			rec.EstX, rec.EstY, rec.Err, rec.Detectors, rec.Holders,
-			rec.MsgsDelta, rec.BytesDelta); err != nil {
-			return err
-		}
+			rec.MsgsDelta, rec.BytesDelta)
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
 // WriteJSONL writes one JSON object per iteration, preceded by a metadata

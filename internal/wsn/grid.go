@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/mathx"
+	"repro/internal/recycle"
 )
 
 // Grid is a uniform spatial hash over node positions supporting
@@ -26,9 +27,10 @@ type Grid struct {
 	idx     []int32
 }
 
-// NewGrid indexes the given positions over the bounding box
-// [0,width] x [0,height] with the given cell size.
-func NewGrid(width, height, cell float64, positions []mathx.Vec2) *Grid {
+// reset indexes the given positions over the bounding box
+// [0,width] x [0,height] with the given cell size, reusing g's arrays where
+// their capacity suffices.
+func (g *Grid) reset(width, height, cell float64, positions []mathx.Vec2) {
 	if cell <= 0 {
 		panic("wsn: grid cell size must be positive")
 	}
@@ -40,18 +42,13 @@ func NewGrid(width, height, cell float64, positions []mathx.Vec2) *Grid {
 	if rows < 1 {
 		rows = 1
 	}
-	g := &Grid{
-		cell:      cell,
-		cols:      cols,
-		rows:      rows,
-		buckets:   make([][]NodeID, cols*rows),
-		positions: positions,
-	}
-	g.backing = make([]NodeID, len(positions))
-	g.counts = make([]int32, cols*rows)
-	g.idx = make([]int32, len(positions))
+	g.cell, g.cols, g.rows = cell, cols, rows
+	g.positions = positions
+	g.buckets = recycle.Slice(g.buckets, cols*rows)
+	g.backing = recycle.Slice(g.backing, len(positions))
+	g.counts = recycle.Slice(g.counts, cols*rows)
+	g.idx = recycle.Slice(g.idx, len(positions))
 	g.layout(positions)
-	return g
 }
 
 // layout counts nodes per bucket, slices the shared backing array into
@@ -82,7 +79,7 @@ func (g *Grid) layout(positions []mathx.Vec2) {
 
 // Rebuild re-indexes the grid over the given positions, reusing the existing
 // bucket storage. Positions must have the same length as the slice the grid
-// was built with; insertion order (ascending ID per bucket) matches NewGrid,
+// was built with; insertion order (ascending ID per bucket) matches reset,
 // so a rebuilt grid answers queries in the same candidate order.
 func (g *Grid) Rebuild(positions []mathx.Vec2) {
 	if len(positions) != len(g.positions) {

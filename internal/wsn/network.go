@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/mathx"
+	"repro/internal/recycle"
 )
 
 // Config describes a deployment matching Section VI's simulation
@@ -79,6 +80,8 @@ type Network struct {
 	// must deduplicate across several grid probes (DetectingNodes).
 	mark      []uint32
 	markEpoch uint32
+	// backing is the node array Nodes points into; nil once released.
+	backing []Node
 	// driftScratch buffers the batched Gaussian drift draws of ApplyDrift.
 	driftScratch []float64
 
@@ -91,18 +94,20 @@ type Network struct {
 }
 
 // NewNetwork deploys cfg.nodeCount() nodes uniformly at random over the
-// field and builds the spatial index.
+// field and builds the spatial index. The dense per-node arrays come from
+// the memory of a released network when one is available (see Release).
 func NewNetwork(cfg Config, rng *mathx.RNG) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.nodeCount()
+	m := netFree.Get()
 	// One contiguous backing array for all nodes: a per-node &Node{} would
 	// cost n allocations and dominate the allocation profile of every
 	// scenario build (16k nodes at density 40).
-	backing := make([]Node, n)
-	nodes := make([]*Node, n)
-	positions := make([]mathx.Vec2, n)
+	backing := recycle.Slice(m.backing, n)
+	nodes := recycle.Slice(m.nodes, n)
+	positions := recycle.Slice(m.positions, n)
 	for i := 0; i < n; i++ {
 		p := mathx.V2(rng.Uniform(0, cfg.Width), rng.Uniform(0, cfg.Height))
 		backing[i] = Node{ID: NodeID(i), Pos: p, State: Awake}
@@ -115,14 +120,42 @@ func NewNetwork(cfg Config, rng *mathx.RNG) (*Network, error) {
 	if cell > cfg.Width {
 		cell = cfg.Width
 	}
+	if m.grid == nil {
+		m.grid = new(Grid)
+	}
+	m.grid.reset(cfg.Width, cfg.Height, cell, positions)
 	return &Network{
 		Cfg:       cfg,
 		Nodes:     nodes,
-		grid:      NewGrid(cfg.Width, cfg.Height, cell, positions),
+		grid:      m.grid,
 		Stats:     NewCommStats(),
 		positions: positions,
-		mark:      make([]uint32, n),
+		mark:      recycle.Slice(m.mark, n),
+		backing:   backing,
 	}, nil
+}
+
+// netMem is a released network's dense per-node memory, kept for the next
+// NewNetwork.
+type netMem struct {
+	backing   []Node
+	nodes     []*Node
+	positions []mathx.Vec2
+	mark      []uint32
+	grid      *Grid
+}
+
+var netFree recycle.List[netMem]
+
+// Release hands the network's dense per-node memory to the next NewNetwork
+// on the process. Only the owner of a finished run may call it, once nothing
+// reads the network any more; a second Release is a no-op.
+func (nw *Network) Release() {
+	if nw.backing == nil {
+		return
+	}
+	netFree.Put(netMem{backing: nw.backing, nodes: nw.Nodes, positions: nw.positions, mark: nw.mark, grid: nw.grid})
+	nw.backing, nw.Nodes, nw.positions, nw.mark, nw.grid = nil, nil, nil, nil, nil
 }
 
 // Node returns the node with the given ID.

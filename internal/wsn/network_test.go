@@ -300,3 +300,28 @@ func TestApplyDrift(t *testing.T) {
 		t.Fatal("zero drift moved a node")
 	}
 }
+
+// TestReleaseTwiceIsNoOp checks that releasing a network a second time
+// hands nothing back again: two later networks must not share memory.
+func TestReleaseTwiceIsNoOp(t *testing.T) {
+	nw, err := NewNetwork(DefaultConfig(5), mathx.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Release()
+	nw.Release()
+	if nw.Nodes != nil {
+		t.Fatal("a released network still exposes its nodes")
+	}
+	a, err := NewNetwork(DefaultConfig(5), mathx.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewNetwork(DefaultConfig(5), mathx.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Nodes[0] == b.Nodes[0] || &a.positions[0] == &b.positions[0] || a.grid == b.grid {
+		t.Error("two networks share recycled memory after a double Release")
+	}
+}

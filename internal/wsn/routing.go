@@ -1,6 +1,11 @@
 package wsn
 
-import "math"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/recycle"
+)
 
 // Routing support for the centralized baseline: CPF needs the hop count from
 // every detecting node to the sink (H_i in Table I). Hop counts are computed
@@ -8,6 +13,15 @@ import "math"
 // communication radius, treating every deployed node (regardless of sleep
 // state) as a potential relay — duty-cycled forwarding wakes relays on
 // demand, and the cost model charges per-hop transmissions identically.
+
+// hopMem is BuildHopTable's private search memory, kept between calls: the
+// unvisited-list grid and the BFS queue.
+type hopMem struct {
+	grid  Grid
+	queue []NodeID
+}
+
+var hopFree recycle.List[hopMem]
 
 // HopTable maps every node to its BFS hop distance from a root node.
 // Unreachable nodes have Hops[i] == -1.
@@ -46,8 +60,11 @@ func (nw *Network) BuildHopTable(root NodeID) *HopTable {
 		cell *= 2
 	}
 	// A private grid whose buckets serve as the unvisited lists: the search
-	// consumes them, so the network's shared grid is never touched.
-	g := NewGrid(w, h, cell, nw.positions)
+	// consumes them, so the network's shared grid is never touched. The grid
+	// and the queue never leave the call, so they are recycled here.
+	m := hopFree.Get()
+	g := &m.grid
+	g.reset(w, h, cell, nw.positions)
 	unvisited := g.buckets
 	rb := unvisited[g.idx[root]]
 	for k, id := range rb {
@@ -62,8 +79,7 @@ func (nw *Network) BuildHopTable(root NodeID) *HopTable {
 	// The window is padded by a hair over r so that rounding in the window
 	// arithmetic can never exclude a node the exact predicate admits.
 	reach := r * (1 + 1e-9)
-	queue := make([]NodeID, 1, n)
-	queue[0] = root
+	queue := append(slices.Grow(m.queue[:0], n), root)
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
 		p := nw.positions[cur]
@@ -90,6 +106,8 @@ func (nw *Network) BuildHopTable(root NodeID) *HopTable {
 			}
 		}
 	}
+	m.queue, m.grid.positions = queue, nil
+	hopFree.Put(m)
 	return &HopTable{Root: root, Hops: hops}
 }
 
